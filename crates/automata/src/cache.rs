@@ -28,13 +28,13 @@
 //! function of its key — so the cache only grows, and verdicts stay
 //! bit-identical to what the uncached constructions produce.
 
-use ssd_base::sync::{Arc, AtomicBool, AtomicU64, Ordering, RwLock};
+use ssd_base::sync::{Arc, AtomicBool, AtomicU64, Ordering};
 use std::hash::{Hash, Hasher};
 
 use ssd_base::LabelId;
 use ssd_obs::{names, Recorder};
 
-use crate::shard::{read, write, ShardedMap};
+use crate::shard::ShardedMap;
 
 use crate::compiled::{self, CompiledDfa};
 use crate::dfa::{self, Dfa};
@@ -191,12 +191,11 @@ pub struct AutomataCache {
     /// tier is the production path, the interpreter is retained behind the
     /// same entry points for differential testing.
     interpret_only: AtomicBool,
-    /// Optional observability sink: when set, every hit/miss also bumps
-    /// the matching `ssd_obs::names::counter` and constructions run under
-    /// spans. `rec_on` mirrors `rec.is_some()` so the disabled hot path
-    /// pays one relaxed atomic load, not a lock.
-    rec_on: AtomicBool,
-    rec: RwLock<Option<Arc<dyn Recorder>>>,
+    /// Observability sink, fixed at construction
+    /// ([`AutomataCache::with_recorder`]): when set, every hit/miss also
+    /// bumps the matching `ssd_obs::names::counter` and constructions run
+    /// under spans.
+    rec: Option<Arc<dyn Recorder>>,
     /// Entries dropped by epoch flushes, cumulative.
     evicted: AtomicU64,
 }
@@ -261,21 +260,21 @@ impl AutomataCache {
         AutomataCache::default()
     }
 
-    /// Attaches (or with `None`, detaches) an observability sink. While
-    /// set, every memo-table hit/miss is mirrored to the recorder's
-    /// counters and cache-miss constructions run under spans.
-    pub fn set_recorder(&self, rec: Option<Arc<dyn Recorder>>) {
-        self.rec_on.store(rec.is_some(), Ordering::Relaxed);
-        *write(&self.rec) = rec;
+    /// An empty cache reporting into `rec`: every memo-table hit/miss is
+    /// mirrored to the recorder's counters, and cache-miss constructions
+    /// run under the `glushkov`, `determinize`, `minimize` and
+    /// `compiled_build` spans and report the NFA/DFA state counts.
+    pub fn with_recorder(rec: Arc<dyn Recorder>) -> AutomataCache {
+        AutomataCache {
+            rec: Some(rec),
+            ..AutomataCache::default()
+        }
     }
 
-    /// The active recorder, if observation is on (fast `None` otherwise).
-    fn active_recorder(&self) -> Option<Arc<dyn Recorder>> {
-        if self.rec_on.load(Ordering::Relaxed) {
-            read(&self.rec).clone()
-        } else {
-            None
-        }
+    /// The cache's recorder (the shared no-op recorder when none was
+    /// attached at construction).
+    pub fn recorder(&self) -> &dyn Recorder {
+        self.rec.as_deref().unwrap_or(ssd_obs::noop())
     }
 
     /// Bumps the table's hit or miss counter, mirroring to the recorder
@@ -287,7 +286,7 @@ impl AutomataCache {
         } else {
             t.misses.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(rec) = self.active_recorder() {
+        if let Some(rec) = &self.rec {
             let (hit_name, miss_name) = table.counter_names();
             rec.add(if hit { hit_name } else { miss_name }, 1);
         }
@@ -343,12 +342,16 @@ impl AutomataCache {
             return n;
         }
         self.note(TableId::Nfa, false);
-        let rec = self.active_recorder();
-        let built = Arc::new(glushkov::build_rec(
-            key.regex(),
-            rec.as_deref().unwrap_or(ssd_obs::noop()),
-        ));
-        self.nfas.insert_if_absent(key, built)
+        let rec = self.recorder();
+        let built = {
+            let _span = ssd_obs::span(rec, names::span::GLUSHKOV);
+            glushkov::build(key.regex())
+        };
+        if rec.enabled() {
+            rec.add(names::counter::NFA_STATES, built.num_states() as u64);
+            rec.observe(names::counter::NFA_STATES, built.num_states() as u64);
+        }
+        self.nfas.insert_if_absent(key, Arc::new(built))
     }
 
     /// The determinized and minimized DFA of `re`, built at most once.
@@ -373,14 +376,20 @@ impl AutomataCache {
         }
         self.note(TableId::Dfa, false);
         let nfa = self.nfa(re);
-        let rec = self.active_recorder();
-        let r = rec.as_deref().unwrap_or(ssd_obs::noop());
-        let built = Arc::new(dfa::minimize_rec_b(
-            &dfa::determinize_rec_b(&nfa, r, budget)?,
-            r,
-            budget,
-        )?);
-        Ok(self.dfas.insert_if_absent(key, built))
+        let rec = self.recorder();
+        let det = {
+            let _span = ssd_obs::span(rec, names::span::DETERMINIZE);
+            dfa::determinize_b(&nfa, budget)?
+        };
+        if rec.enabled() {
+            rec.add(names::counter::DFA_STATES, det.num_states() as u64);
+            rec.observe(names::counter::DFA_STATES, det.num_states() as u64);
+        }
+        let built = {
+            let _span = ssd_obs::span(rec, names::span::MINIMIZE);
+            dfa::minimize_b(&det, budget)?
+        };
+        Ok(self.dfas.insert_if_absent(key, Arc::new(built)))
     }
 
     /// The compiled dense transition table of `re`, built at most once
@@ -408,12 +417,11 @@ impl AutomataCache {
         }
         self.note(TableId::Compiled, false);
         let dfa = self.dfa_b(re, budget)?;
-        let rec = self.active_recorder();
-        let built = Arc::new(compiled::compile_rec(
-            &dfa,
-            rec.as_deref().unwrap_or(ssd_obs::noop()),
-        ));
-        Ok(self.compiled.insert_if_absent(key, built))
+        let built = {
+            let _span = ssd_obs::span(self.recorder(), names::span::COMPILED_BUILD);
+            compiled::compile(&dfa)
+        };
+        Ok(self.compiled.insert_if_absent(key, Arc::new(built)))
     }
 
     /// Whether `lang(left) ∩ lang(right)` is empty, decided under
@@ -428,8 +436,7 @@ impl AutomataCache {
         right: &Regex<LabelAtom>,
         budget: &ssd_base::Budget,
     ) -> ssd_base::BudgetResult<bool> {
-        let rec = self.active_recorder();
-        let r = rec.as_deref().unwrap_or(ssd_obs::noop());
+        let r = self.recorder();
         if self.compiled_enabled() {
             let a = self.compiled_b(left, budget)?;
             let b = self.compiled_b(right, budget)?;
@@ -542,9 +549,7 @@ impl AutomataCache {
         self.cons.clear();
         self.evicted.fetch_add(evicted, Ordering::Relaxed);
         if evicted > 0 {
-            if let Some(rec) = self.active_recorder() {
-                rec.add(names::counter::CACHE_EVICTED, evicted);
-            }
+            self.recorder().add(names::counter::CACHE_EVICTED, evicted);
         }
         evicted
     }
@@ -758,9 +763,8 @@ mod tests {
 
     #[test]
     fn recorder_mirrors_hits_and_misses() {
-        let cache = AutomataCache::new();
         let rec = Arc::new(ssd_obs::TraceRecorder::new());
-        cache.set_recorder(Some(rec.clone()));
+        let cache = AutomataCache::with_recorder(rec.clone());
         cache.dfa(&sample());
         cache.dfa(&sample());
         assert_eq!(rec.counter(names::counter::CACHE_DFA_MISS), 1);
@@ -770,9 +774,8 @@ mod tests {
         let report = rec.report();
         assert!(report.span(&[ssd_obs::names::span::GLUSHKOV]).is_some());
         assert!(report.span(&[ssd_obs::names::span::DETERMINIZE]).is_some());
-        cache.set_recorder(None);
-        cache.dfa(&sample());
-        assert_eq!(rec.counter(names::counter::CACHE_DFA_HIT), 1, "detached");
+        assert!(report.span(&[ssd_obs::names::span::MINIMIZE]).is_some());
+        assert_eq!(rec.counter(names::counter::NFA_STATES), 5);
     }
 
     #[test]

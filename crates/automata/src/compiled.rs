@@ -89,7 +89,7 @@ impl CompileAtom for LabelAtom {
 }
 
 /// A deterministic automaton compiled to a dense table. See the module
-/// docs for the layout; construct with [`compile`] / [`compile_rec`].
+/// docs for the layout; construct with [`compile`].
 #[derive(Clone, Debug)]
 pub struct CompiledDfa<K> {
     /// Sorted, duplicate-free keys of the keyed classes; class `i` (for
@@ -118,13 +118,6 @@ pub struct CompiledDfa<K> {
 /// the DFA has `u32::MAX` or more states (the [`DEAD`] sentinel is
 /// reserved).
 pub fn compile<A: CompileAtom>(dfa: &Dfa<A>) -> CompiledDfa<A::Key> {
-    compile_rec(dfa, ssd_obs::noop())
-}
-
-/// [`compile`] with instrumentation: wraps the build in a `compiled_build`
-/// span.
-pub fn compile_rec<A: CompileAtom>(dfa: &Dfa<A>, rec: &dyn Recorder) -> CompiledDfa<A::Key> {
-    let _span = ssd_obs::span(rec, names::span::COMPILED_BUILD);
     let n = dfa.num_states();
     assert!(
         (n as u64) < DEAD as u64,

@@ -12,7 +12,6 @@ use std::collections::{HashMap, VecDeque};
 use crate::nfa::{Nfa, StateId};
 use crate::syntax::{Atom, LabelAtom};
 use ssd_base::budget::{Budget, BudgetResult};
-use ssd_obs::{names, Recorder};
 
 /// Atoms that can partition the alphabet into finitely many classes.
 pub trait ClassAtom: Atom {
@@ -288,27 +287,6 @@ pub fn determinize_b<A: ClassAtom>(nfa: &Nfa<A>, budget: &Budget) -> BudgetResul
     determinize_with_classes_b(nfa, classes, budget)
 }
 
-/// [`determinize`] with instrumentation: wraps the subset construction in
-/// a `determinize` span and reports the resulting DFA state count.
-pub fn determinize_rec<A: ClassAtom>(nfa: &Nfa<A>, rec: &dyn Recorder) -> Dfa<A> {
-    determinize_rec_b(nfa, rec, Budget::unlimited_ref()).expect("unlimited budget never trips")
-}
-
-/// [`determinize_rec`] under a [`Budget`].
-pub fn determinize_rec_b<A: ClassAtom>(
-    nfa: &Nfa<A>,
-    rec: &dyn Recorder,
-    budget: &Budget,
-) -> BudgetResult<Dfa<A>> {
-    let _span = ssd_obs::span(rec, names::span::DETERMINIZE);
-    let dfa = determinize_b(nfa, budget)?;
-    if rec.enabled() {
-        rec.add(names::counter::DFA_STATES, dfa.num_states() as u64);
-        rec.observe(names::counter::DFA_STATES, dfa.num_states() as u64);
-    }
-    Ok(dfa)
-}
-
 /// Determinizes with a caller-supplied class partition (needed when
 /// comparing two automata, whose classes must be computed jointly).
 pub fn determinize_with_classes<A: ClassAtom>(nfa: &Nfa<A>, classes: Vec<A>) -> Dfa<A> {
@@ -381,23 +359,6 @@ pub fn determinize_with_classes_b<A: ClassAtom>(
     };
     dfa.debug_validate();
     Ok(dfa)
-}
-
-/// [`minimize`] with instrumentation: wraps the refinement in a
-/// `minimize` span.
-pub fn minimize_rec<A: ClassAtom>(dfa: &Dfa<A>, rec: &dyn Recorder) -> Dfa<A> {
-    let _span = ssd_obs::span(rec, names::span::MINIMIZE);
-    minimize(dfa)
-}
-
-/// [`minimize_rec`] under a [`Budget`].
-pub fn minimize_rec_b<A: ClassAtom>(
-    dfa: &Dfa<A>,
-    rec: &dyn Recorder,
-    budget: &Budget,
-) -> BudgetResult<Dfa<A>> {
-    let _span = ssd_obs::span(rec, names::span::MINIMIZE);
-    minimize_b(dfa, budget)
 }
 
 /// Minimizes a DFA by Moore partition refinement. Missing transitions are

@@ -7,7 +7,6 @@
 
 use crate::nfa::Nfa;
 use crate::syntax::Regex;
-use ssd_obs::{names, Recorder};
 
 /// Positions are 1-based (state 0 is the fresh start state).
 type Pos = usize;
@@ -26,18 +25,6 @@ fn union(a: &[Pos], b: &[Pos]) -> Vec<Pos> {
         }
     }
     v
-}
-
-/// [`build`] with instrumentation: wraps the construction in a
-/// `glushkov` span and reports the resulting state count.
-pub fn build_rec<A: Clone>(re: &Regex<A>, rec: &dyn Recorder) -> Nfa<A> {
-    let _span = ssd_obs::span(rec, names::span::GLUSHKOV);
-    let nfa = build(re);
-    if rec.enabled() {
-        rec.add(names::counter::NFA_STATES, nfa.num_states() as u64);
-        rec.observe(names::counter::NFA_STATES, nfa.num_states() as u64);
-    }
-    nfa
 }
 
 /// Builds the Glushkov automaton of `re`.

@@ -66,42 +66,16 @@ pub fn is_empty_lang<A>(nfa: &Nfa<A>) -> bool {
 /// moment any accepting state is found, so a non-empty product costs only
 /// the states on the frontier up to the first witness, not the whole
 /// product. Returns `true` iff no reachable state accepts.
-pub fn is_empty_product<S, I>(
-    starts: I,
-    accepting: impl FnMut(&S) -> bool,
-    successors: impl FnMut(&S, &mut Vec<S>),
-) -> bool
-where
-    S: Clone + Eq + std::hash::Hash,
-    I: IntoIterator<Item = S>,
-{
-    is_empty_product_rec(starts, accepting, successors, ssd_obs::noop())
-}
-
-/// [`is_empty_product`] with instrumentation: wraps the BFS in a
-/// `product_bfs` span and reports how many product-state visits the BFS
-/// made before the first accepting state (or exhaustion) — the
-/// paper's key cost measure for the lazy traces product. The count is a
-/// local integer; the recorder is consulted only at entry and exit, so
-/// the disabled path costs one `enabled()` check.
-pub fn is_empty_product_rec<S, I>(
-    starts: I,
-    accepting: impl FnMut(&S) -> bool,
-    successors: impl FnMut(&S, &mut Vec<S>),
-    rec: &dyn Recorder,
-) -> bool
-where
-    S: Clone + Eq + std::hash::Hash,
-    I: IntoIterator<Item = S>,
-{
-    is_empty_product_b(starts, accepting, successors, rec, Budget::unlimited_ref())
-        .expect("unlimited budget never trips")
-}
-
-/// [`is_empty_product_rec`] under a [`Budget`]: one fuel unit per
-/// product-state visit, the frontier is the BFS queue, and the
-/// retained-bytes estimate covers the `seen` set — the structure that
-/// actually grows without bound on an exponential product.
+///
+/// Runs under `budget`: one fuel unit per product-state visit, the
+/// frontier is the BFS queue, and the retained-bytes estimate covers the
+/// `seen` set — the structure that actually grows without bound on an
+/// exponential product. The BFS runs in a `product_bfs` span on `rec` and
+/// reports how many product-state visits it made before the first
+/// accepting state (or exhaustion) — the paper's key cost measure for the
+/// lazy traces product. The count is a local integer; the recorder is
+/// consulted only at entry and exit, so the disabled path costs one
+/// `enabled()` check.
 pub fn is_empty_product_b<S, I>(
     starts: I,
     mut accepting: impl FnMut(&S) -> bool,
@@ -479,7 +453,7 @@ mod tests {
     /// Lazy pair-product emptiness over concrete labels, for the tests
     /// below: advances both NFAs on each label the left side can take.
     fn lazy_pair_empty(left: &Nfa<LabelAtom>, right: &Nfa<LabelAtom>) -> bool {
-        is_empty_product(
+        is_empty_product_b(
             [(left.start(), right.start())],
             |&(p, q)| left.is_accepting(p) && right.is_accepting(q),
             |&(p, q), out| {
@@ -490,7 +464,10 @@ mod tests {
                     }
                 }
             },
+            ssd_obs::noop(),
+            Budget::unlimited_ref(),
         )
+        .unwrap()
     }
 
     #[test]

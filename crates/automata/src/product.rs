@@ -26,24 +26,21 @@ pub fn product<A, B, C>(
     right: &Nfa<B>,
     combine: impl FnMut(&A, &B) -> Option<C>,
 ) -> Nfa<C> {
-    product_rec(left, right, combine, ssd_obs::noop())
+    product_b(
+        left,
+        right,
+        combine,
+        ssd_obs::noop(),
+        Budget::unlimited_ref(),
+    )
+    .expect("unlimited budget never trips")
 }
 
-/// [`product`] with instrumentation: wraps the construction in a
-/// `product` span and reports how many product states were materialized.
-pub fn product_rec<A, B, C>(
-    left: &Nfa<A>,
-    right: &Nfa<B>,
-    combine: impl FnMut(&A, &B) -> Option<C>,
-    rec: &dyn Recorder,
-) -> Nfa<C> {
-    product_b(left, right, combine, rec, Budget::unlimited_ref())
-        .expect("unlimited budget never trips")
-}
-
-/// [`product_rec`] under a [`Budget`]: one fuel unit per product state
-/// popped from the worklist, with the retained-bytes estimate covering
-/// the materialized pairs and edges.
+/// [`product`] under a [`Budget`], reporting to `rec`: one fuel unit per
+/// product state popped from the worklist, with the retained-bytes
+/// estimate covering the materialized pairs and edges. The construction
+/// runs in a `product` span and reports how many product states were
+/// materialized.
 pub fn product_b<A, B, C>(
     left: &Nfa<A>,
     right: &Nfa<B>,

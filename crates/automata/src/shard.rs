@@ -41,12 +41,12 @@ pub const SHARDS: usize = 16;
 /// Read a lock, recovering from poisoning: every cached value is a pure
 /// function of its key, so a panicked writer cannot leave a map
 /// semantically inconsistent (at worst an entry is absent).
-pub fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Write counterpart of [`read`], with the same poison-recovery rationale.
-pub fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 

@@ -31,7 +31,8 @@ fn ptraces_workload(num_types: usize) -> (Schema, Query) {
     (0..64)
         .filter_map(|k| {
             let (s, _, q) = workload(700 + num_types as u64 + 1000 * k, num_types, 1, false, true);
-            ptraces::satisfiable_ptraces(&q, &s).ok().map(|_| (s, q))
+            let fits = Session::new().satisfiable_ptraces(&q, &s).is_ok();
+            fits.then_some((s, q))
         })
         .next()
         .expect("a single-definition workload exists")

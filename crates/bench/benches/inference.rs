@@ -5,7 +5,7 @@
 use ssd_base::SharedInterner;
 use ssd_bench::harness::{BenchmarkId, Criterion};
 use ssd_bench::{criterion_group, criterion_main};
-use ssd_core::infer;
+use ssd_core::Session;
 use ssd_query::parse_query;
 use ssd_schema::parse_schema;
 
@@ -28,10 +28,11 @@ fn inference(c: &mut Criterion) {
         let pool = SharedInterner::new();
         let s = parse_schema(&loose_schema(n), &pool).unwrap();
         let q = parse_query("SELECT X WHERE Root = [a -> X]", &pool).unwrap();
-        let out = infer(&q, &s).unwrap();
+        let sess = Session::new();
+        let out = sess.infer(&q, &s).unwrap();
         assert_eq!(out.len(), n, "output size equals the alternation width");
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| infer(&q, &s).unwrap().len())
+            b.iter(|| sess.infer(&q, &s).unwrap().len())
         });
     }
     g.finish();

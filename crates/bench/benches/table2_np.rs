@@ -9,12 +9,14 @@ use ssd_base::rng::StdRng;
 use ssd_base::SharedInterner;
 use ssd_bench::harness::{BenchmarkId, Criterion};
 use ssd_bench::{criterion_group, criterion_main};
-use ssd_core::solver;
+use ssd_core::{solver, Budget, Constraints, Session};
 use ssd_gen::sat3::Sat3;
 use ssd_query::parse_query;
 use ssd_schema::parse_schema;
 
 fn np_cells(c: &mut Criterion) {
+    let sess = Session::new();
+    let none = Constraints::none();
     let mut g = c.benchmark_group("t2/np_3sat_reduction");
     g.sample_size(10);
     for vars in [3usize, 4, 5] {
@@ -24,7 +26,11 @@ fn np_cells(c: &mut Criterion) {
         let s = parse_schema(&f.schema_text(), &pool).unwrap();
         let q = parse_query(&f.query_text(), &pool).unwrap();
         g.bench_with_input(BenchmarkId::from_parameter(vars), &vars, |b, _| {
-            b.iter(|| solver::solve(&q, &s).satisfiable)
+            b.iter(|| {
+                solver::solve_with_in_b(&q, &s, &none, &sess, Budget::unlimited_ref())
+                    .unwrap()
+                    .satisfiable
+            })
         });
     }
     g.finish();

@@ -9,20 +9,34 @@
 use ssd_bench::harness::{BenchmarkId, Criterion};
 use ssd_bench::workload;
 use ssd_bench::{criterion_group, criterion_main};
-use ssd_core::feas::{analyze, Constraints};
-use ssd_core::tagged::satisfiable_tagged;
+use ssd_core::feas::{analyze_obs, Constraints};
+use ssd_core::tagged::satisfiable_tagged_in;
+use ssd_core::Session;
+use ssd_query::Query;
+use ssd_schema::{Schema, TypeGraph};
+
+/// The trace-product verdict, with path automata from `sess`'s cache.
+fn feas_sat(q: &Query, s: &Schema, tg: &TypeGraph, sess: &Session) -> bool {
+    analyze_obs(
+        q,
+        s,
+        tg,
+        &Constraints::none(),
+        sess.automata(),
+        ssd_obs::noop(),
+    )
+    .unwrap()
+    .satisfiable
+}
 
 fn ordered_joinfree(c: &mut Criterion) {
+    let sess = Session::new();
     let mut g = c.benchmark_group("t2/ordered_joinfree_query_size");
     g.sample_size(20);
     for num_defs in [2usize, 4, 8, 16] {
         let (s, tg, q) = workload(100 + num_defs as u64, 10, num_defs, false, false);
         g.bench_with_input(BenchmarkId::from_parameter(num_defs), &num_defs, |b, _| {
-            b.iter(|| {
-                analyze(&q, &s, &tg, &Constraints::none())
-                    .unwrap()
-                    .satisfiable
-            })
+            b.iter(|| feas_sat(&q, &s, &tg, &sess))
         });
     }
     g.finish();
@@ -34,19 +48,14 @@ fn ordered_joinfree(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::from_parameter(num_types),
             &num_types,
-            |b, _| {
-                b.iter(|| {
-                    analyze(&q, &s, &tg, &Constraints::none())
-                        .unwrap()
-                        .satisfiable
-                })
-            },
+            |b, _| b.iter(|| feas_sat(&q, &s, &tg, &sess)),
         );
     }
     g.finish();
 }
 
 fn tagged_constant_suffix(c: &mut Criterion) {
+    let sess = Session::new();
     let mut g = c.benchmark_group("t2/tagged_constant_suffix");
     g.sample_size(20);
     for num_defs in [2usize, 4, 8, 16] {
@@ -58,7 +67,7 @@ fn tagged_constant_suffix(c: &mut Criterion) {
             .find(|(_, _, q)| ssd_query::QueryClass::of(q).constant_suffix)
             .expect("a constant-suffix workload exists");
         g.bench_with_input(BenchmarkId::from_parameter(num_defs), &num_defs, |b, _| {
-            b.iter(|| satisfiable_tagged(&q, &s, &tg, &Constraints::none()).unwrap())
+            b.iter(|| satisfiable_tagged_in(&q, &s, &tg, &Constraints::none(), &sess).unwrap())
         });
     }
     g.finish();

@@ -4,6 +4,7 @@
 use ssd_base::SharedInterner;
 use ssd_bench::harness::{BenchmarkId, Criterion};
 use ssd_bench::{criterion_group, criterion_main};
+use ssd_core::Session;
 use ssd_gen::corpora::{bibliography, PAPER_SCHEMA};
 use ssd_model::parse_data_graph;
 use ssd_query::parse_query;
@@ -54,8 +55,9 @@ fn schema_inference(c: &mut Criterion) {
     let pool = SharedInterner::new();
     let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
     let t = bib_transform(&pool);
+    let sess = Session::new();
     c.bench_function("s43/infer_output_schema", |b| {
-        b.iter(|| infer_output_schema(&t, &s).unwrap().len())
+        b.iter(|| infer_output_schema(&t, &s, &sess).unwrap().len())
     });
 }
 

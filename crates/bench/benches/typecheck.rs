@@ -6,17 +6,18 @@
 use ssd_bench::harness::{BenchmarkId, Criterion};
 use ssd_bench::workload;
 use ssd_bench::{criterion_group, criterion_main};
-use ssd_core::feas::{analyze, Constraints};
-use ssd_core::{total_type_check, TypeAssignment};
+use ssd_core::feas::Constraints;
+use ssd_core::{Session, TypeAssignment};
 use ssd_query::VarKind;
 
 fn total_check(c: &mut Criterion) {
+    let sess = Session::new();
     let mut g = c.benchmark_group("p32/total_typecheck");
     g.sample_size(20);
     for num_defs in [2usize, 4, 8, 16] {
         let (s, tg, q) = workload(400 + num_defs as u64, 10, num_defs, false, false);
         // Derive a checkable assignment from the analysis itself.
-        let a = analyze(&q, &s, &tg, &Constraints::none()).unwrap();
+        let a = sess.feas_analysis(&q, &s, &tg, &Constraints::none());
         let mut assignment = TypeAssignment::new();
         for v in q.vars() {
             match q.kind(v) {
@@ -26,8 +27,8 @@ fn total_check(c: &mut Criterion) {
                         .types()
                         .find(|&t| {
                             a.feas[v.index()].contains(&t)
-                                && analyze(&q, &s, &tg, &Constraints::none().pin_type(v, t))
-                                    .unwrap()
+                                && sess
+                                    .feas_analysis(&q, &s, &tg, &Constraints::none().pin_type(v, t))
                                     .satisfiable
                         })
                         .unwrap_or(s.root());
@@ -37,7 +38,7 @@ fn total_check(c: &mut Criterion) {
             }
         }
         g.bench_with_input(BenchmarkId::from_parameter(num_defs), &num_defs, |b, _| {
-            b.iter(|| total_type_check(&q, &s, &assignment).unwrap())
+            b.iter(|| sess.total_type_check(&q, &s, &assignment).unwrap())
         });
     }
     g.finish();

@@ -25,7 +25,7 @@ use ssd_base::budget::Budget;
 use ssd_base::rng::StdRng;
 use ssd_base::SharedInterner;
 
-use ssd_core::feas::{analyze, Constraints};
+use ssd_core::feas::{analyze_obs, Constraints};
 use ssd_core::solver;
 use ssd_core::{Session, SessionLimits};
 use ssd_feedback::feedback_query;
@@ -247,6 +247,8 @@ fn telemetry_run(out: &Path) {
 }
 
 fn table2_shape() {
+    let sess = Session::new();
+    let none = Constraints::none();
     println!("== Experiment T2: satisfiability complexity shapes ==");
     println!("-- PTIME cell: join-free queries over ordered schemas (trace product) --");
     println!("{:>6} {:>6} {:>12}", "|Q|", "|S|", "time (ms)");
@@ -280,7 +282,8 @@ fn table2_shape() {
         .unwrap();
         let ms = time_ms(|| {
             for _ in 0..10 {
-                let _ = analyze(&q, &schema, &tg, &Constraints::none()).unwrap();
+                let _ =
+                    analyze_obs(&q, &schema, &tg, &none, sess.automata(), ssd_obs::noop()).unwrap();
             }
         }) / 10.0;
         println!("{:>6} {:>6} {:>12.3}", q.size(), schema.size(), ms);
@@ -299,7 +302,9 @@ fn table2_shape() {
         let q = parse_query(&f.query_text(), &pool).unwrap();
         let mut sat = false;
         let ms = time_ms(|| {
-            sat = solver::solve(&q, &s).satisfiable;
+            // An unlimited budget never trips, so `Err` cannot occur here.
+            sat = solver::solve_with_in_b(&q, &s, &none, &sess, Budget::unlimited_ref())
+                .is_ok_and(|r| r.satisfiable);
         });
         assert_eq!(
             sat,
@@ -369,7 +374,7 @@ fn feedback_example() {
     let pool = SharedInterner::new();
     let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
     let q = parse_query(FEEDBACK_QUERY, &pool).unwrap();
-    let fb = feedback_query(&q, &s).unwrap();
+    let fb = feedback_query(&q, &s, &Session::new()).unwrap();
     println!("-- original --\n{q}");
     println!("-- feedback --\n{fb}");
     println!();
@@ -402,7 +407,7 @@ fn transform_example() {
         ],
         root_fun: "Names".to_owned(),
     };
-    let out = infer_output_schema(&t, &s).unwrap();
+    let out = infer_output_schema(&t, &s, &Session::new()).unwrap();
     println!("{out}");
     println!();
 }

@@ -49,38 +49,16 @@ pub struct SatOutcome {
     pub algorithm: Algorithm,
 }
 
-/// Type correctness (satisfiability): is there a database conforming to
-/// `s` on which `q` returns a non-empty result?
-pub fn satisfiable(q: &Query, s: &Schema) -> crate::Result<SatOutcome> {
-    satisfiable_with(q, s, &Constraints::none())
-}
-
-/// Satisfiability under pinned types/labels (partial type checking).
-pub fn satisfiable_with(q: &Query, s: &Schema, c: &Constraints) -> crate::Result<SatOutcome> {
-    satisfiable_with_in(q, s, c, Session::global())
-}
-
-/// [`satisfiable_with`] through an explicit session's caches: the
-/// schema's `TypeGraph` and every path automaton come from (and are
-/// recorded in) `sess`.
-pub fn satisfiable_with_in(
-    q: &Query,
-    s: &Schema,
-    c: &Constraints,
-    sess: &Session,
-) -> crate::Result<SatOutcome> {
-    Ok(
-        satisfiable_with_in_b(q, s, c, sess, Budget::unlimited_ref())?
-            .expect_done("unlimited budget never trips"),
-    )
-}
-
-/// [`satisfiable_with_in`] under a [`Budget`]: the exponential engines
-/// (bounded-join enumeration, the general search) check the budget at
-/// their loop frontiers and, instead of hanging on an oversized
-/// instance, return [`Verdict::Exhausted`] with a diagnostic. The
-/// session remains fully usable afterward: partial engine state is
-/// never cached. Structural errors stay in the `Err` channel.
+/// Type correctness (satisfiability) under pinned types/labels: is there
+/// a database conforming to `s` on which `q`, with the pins of `c`,
+/// returns a non-empty result? The schema's `TypeGraph` and every path
+/// automaton come from (and are recorded in) `sess`.
+///
+/// The exponential engines (bounded-join enumeration, the general
+/// search) check `budget` at their loop frontiers and, instead of hanging
+/// on an oversized instance, return [`Verdict::Exhausted`] with a
+/// diagnostic. The session remains fully usable afterward: partial engine
+/// state is never cached. Structural errors stay in the `Err` channel.
 pub fn satisfiable_with_in_b(
     q: &Query,
     s: &Schema,
@@ -305,7 +283,7 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(schema, &pool).unwrap();
         let q = parse_query(query, &pool).unwrap();
-        satisfiable(&q, &s).unwrap()
+        Session::new().satisfiable(&q, &s).unwrap()
     }
 
     #[test]
@@ -376,7 +354,9 @@ mod tests {
         )
         .unwrap();
         let tg = TypeGraph::new(&s);
-        let sat = tagged::satisfiable_tagged(&q3, &s, &tg, &Constraints::none()).unwrap();
+        let sat =
+            tagged::satisfiable_tagged_in(&q3, &s, &tg, &Constraints::none(), &Session::new())
+                .unwrap();
         assert!(sat);
     }
 
@@ -393,11 +373,15 @@ mod tests {
             ("SELECT X WHERE Root = [c -> X]", false),
         ] {
             let q = parse_query(query, &pool).unwrap();
-            let tg = TypeGraph::new(&s);
-            let by_feas = crate::feas::analyze(&q, &s, &tg, &Constraints::none())
+            let sess = Session::new();
+            let tg = sess.type_graph(&s);
+            let by_feas = sess
+                .feas_analysis(&q, &s, &tg, &Constraints::none())
+                .satisfiable;
+            let none = Constraints::none();
+            let by_solver = solver::solve_with_in_b(&q, &s, &none, &sess, Budget::unlimited_ref())
                 .unwrap()
                 .satisfiable;
-            let by_solver = solver::solve(&q, &s).satisfiable;
             assert_eq!(by_feas, want, "feas on {query}");
             assert_eq!(by_solver, want, "solver on {query}");
         }

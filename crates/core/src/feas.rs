@@ -101,28 +101,10 @@ impl FeasAnalysis {
     }
 }
 
-/// Runs the analysis. Requires a join-free query (errors otherwise — use
-/// [`crate::solver`] or the bounded-join wrapper for joins). Path automata
-/// come from the global session's cache; pass a cache explicitly with
-/// [`analyze_in`] for isolated sessions.
-pub fn analyze(q: &Query, s: &Schema, tg: &TypeGraph, c: &Constraints) -> Result<FeasAnalysis> {
-    analyze_in(q, s, tg, c, crate::Session::global().automata())
-}
-
-/// Like [`analyze`], with the automata cache the path regexes are
-/// translated through.
-pub fn analyze_in(
-    q: &Query,
-    s: &Schema,
-    tg: &TypeGraph,
-    c: &Constraints,
-    cache: &AutomataCache,
-) -> Result<FeasAnalysis> {
-    analyze_obs(q, s, tg, c, cache, ssd_obs::noop())
-}
-
-/// [`analyze_in`] with instrumentation: `(variable, type)` feasibility
-/// checks are counted on `rec` (`feas_types_checked`).
+/// Runs the analysis, translating path regexes through `cache`. Requires a
+/// join-free query (errors otherwise — use [`crate::solver`] or the
+/// bounded-join wrapper for joins). `(variable, type)` feasibility checks
+/// are counted on `rec` (`feas_types_checked`).
 pub fn analyze_obs(
     q: &Query,
     s: &Schema,
@@ -141,23 +123,7 @@ pub fn analyze_obs(
 }
 
 /// The analysis itself, without the class check (callers that pre-pin all
-/// join variables may use it directly).
-pub fn analyze_tree(q: &Query, s: &Schema, tg: &TypeGraph, c: &Constraints) -> FeasAnalysis {
-    analyze_tree_in(q, s, tg, c, crate::Session::global().automata())
-}
-
-/// [`analyze_tree`] with an explicit automata cache.
-pub fn analyze_tree_in(
-    q: &Query,
-    s: &Schema,
-    tg: &TypeGraph,
-    c: &Constraints,
-    cache: &AutomataCache,
-) -> FeasAnalysis {
-    analyze_tree_obs(q, s, tg, c, cache, ssd_obs::noop())
-}
-
-/// [`analyze_tree_in`] with instrumentation (see [`analyze_obs`]).
+/// join variables may use it directly); otherwise as [`analyze_obs`].
 pub fn analyze_tree_obs(
     q: &Query,
     s: &Schema,
@@ -401,12 +367,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Convenience: satisfiability of a join-free query by the trace product.
-pub fn satisfiable_joinfree(q: &Query, s: &Schema, c: &Constraints) -> Result<bool> {
-    let tg = TypeGraph::new(s);
-    Ok(analyze(q, s, &tg, c)?.satisfiable)
-}
-
 /// The atomic type of a schema type, if atomic (helper shared by callers).
 pub fn atomic_of(s: &Schema, t: TypeIdx) -> Option<AtomicType> {
     s.def(t).atomic()
@@ -428,11 +388,18 @@ mod tests {
         LASTNAME = string; EMAIL = string
     "#;
 
+    fn analyze(q: &Query, s: &Schema, tg: &TypeGraph, c: &Constraints) -> Result<FeasAnalysis> {
+        analyze_obs(q, s, tg, c, &AutomataCache::new(), ssd_obs::noop())
+    }
+
     fn sat(schema: &str, query: &str) -> bool {
         let pool = SharedInterner::new();
         let s = parse_schema(schema, &pool).unwrap();
         let q = parse_query(query, &pool).unwrap();
-        satisfiable_joinfree(&q, &s, &Constraints::none()).unwrap()
+        let tg = TypeGraph::new(&s);
+        analyze(&q, &s, &tg, &Constraints::none())
+            .unwrap()
+            .satisfiable
     }
 
     fn analysis(schema: &str, query: &str) -> (Query, Schema, FeasAnalysis) {
@@ -604,7 +571,8 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema("T = [a->U.b->U]; U = int", &pool).unwrap();
         let q = parse_query("SELECT X WHERE Root = [a -> &X, b -> &X]", &pool).unwrap();
-        assert!(satisfiable_joinfree(&q, &s, &Constraints::none()).is_err());
+        let tg = TypeGraph::new(&s);
+        assert!(analyze(&q, &s, &tg, &Constraints::none()).is_err());
     }
 
     #[test]

@@ -42,23 +42,10 @@ pub enum InferredValue {
     Label(LabelId),
 }
 
-/// Enumerates all satisfiable SELECT-variable assignments.
-pub fn infer(q: &Query, s: &Schema) -> Result<Vec<InferredAssignment>> {
-    infer_in(q, s, Session::global())
-}
-
-/// [`infer`] through an explicit session's caches. The per-prefix
+/// Enumerates all satisfiable SELECT-variable assignments. The per-prefix
 /// satisfiability tests of the search all share `sess`, so the path
-/// automata of `q` are built once for the whole enumeration.
-pub fn infer_in(q: &Query, s: &Schema, sess: &Session) -> Result<Vec<InferredAssignment>> {
-    Ok(
-        infer_in_b(q, s, sess, Budget::unlimited_ref())?
-            .expect_done("unlimited budget never trips"),
-    )
-}
-
-/// [`infer_in`] under a [`Budget`]: every per-prefix satisfiability
-/// test shares the budget, so an oversized enumeration returns
+/// automata of `q` are built once for the whole enumeration, and they all
+/// share `budget`, so an oversized enumeration returns
 /// [`Verdict::Exhausted`] (partial assignments are discarded — an
 /// incomplete inference is not an answer) instead of hanging.
 pub fn infer_in_b(
@@ -178,7 +165,7 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(schema, &pool).unwrap();
         let q = parse_query(query, &pool).unwrap();
-        let inf = infer(&q, &s).unwrap();
+        let inf = Session::new().infer(&q, &s).unwrap();
         (q, s, inf)
     }
 

@@ -31,13 +31,13 @@ pub mod tagged;
 pub mod typecheck;
 pub mod witness;
 
-pub use dispatch::{satisfiable, satisfiable_with, satisfiable_with_in_b, Algorithm, SatOutcome};
-pub use feas::{analyze, Constraints, FeasAnalysis};
-pub use infer::{infer, infer_in_b, InferredAssignment};
+pub use dispatch::{satisfiable_with_in_b, Algorithm, SatOutcome};
+pub use feas::{Constraints, FeasAnalysis};
+pub use infer::{infer_in_b, InferredAssignment};
 pub use marker::{TraceAtom, TraceSym};
 pub use memo::FeasKey;
 pub use session::{Session, SessionLimits, SessionStats};
-pub use typecheck::{partial_type_check, total_type_check, TypeAssignment};
+pub use typecheck::{partial_type_check_in_b, total_type_check_in_b, TypeAssignment};
 
 pub use ssd_base::budget::{Budget, BudgetResult, Exhausted, Verdict};
 pub use ssd_base::Result;

@@ -188,7 +188,7 @@ fn union_nfa(a: &Nfa<TraceAtom>, b: &Nfa<TraceAtom>) -> Nfa<TraceAtom> {
 
 /// The one-step semantics of the trace product, shared verbatim by the
 /// materialized construction ([`def_trace_automaton_one`]) and the lazy
-/// emptiness check ([`satisfiable_ptraces_in`]), so both decide exactly
+/// emptiness check ([`satisfiable_ptraces_in_b`]), so both decide exactly
 /// the same language.
 struct Stepper<'a> {
     s: &'a Schema,
@@ -403,28 +403,16 @@ pub fn trace_language(q: &Query, s: &Schema, tg: &TypeGraph) -> Result<Nfa<Trace
 }
 
 /// Satisfiability by the literal traces construction:
-/// `Tr(P) ∩ Tr(S) ≠ ∅`.
-pub fn satisfiable_ptraces(q: &Query, s: &Schema) -> Result<bool> {
-    satisfiable_ptraces_in(q, s, Session::global())
-}
-
-/// [`satisfiable_ptraces`] through a session, with the product emptiness
-/// decided *lazily*: instead of materializing (and trimming) the whole
-/// `Tr(P) ∩ Tr(S)` automaton and then testing it, the product state space
-/// is explored on the fly ([`is_empty_product_b`]) with the leaf filters
-/// folded into the step relation, returning at the first accepting state.
-/// The one-step semantics is [`Stepper`] — the same code the materialized
-/// construction runs — so the verdict is identical by construction; path
-/// automata come from the session's cache.
-pub fn satisfiable_ptraces_in(q: &Query, s: &Schema, sess: &Session) -> Result<bool> {
-    Ok(
-        satisfiable_ptraces_in_b(q, s, sess, Budget::unlimited_ref())?
-            .expect_done("unlimited budget never trips"),
-    )
-}
-
-/// [`satisfiable_ptraces_in`] under a [`Budget`]: the lazy product BFS
-/// ticks the budget per explored state and returns
+/// `Tr(P) ∩ Tr(S) ≠ ∅`, with the product emptiness decided *lazily*:
+/// instead of materializing (and trimming) the whole `Tr(P) ∩ Tr(S)`
+/// automaton and then testing it, the product state space is explored on
+/// the fly ([`is_empty_product_b`]) with the leaf filters folded into the
+/// step relation, returning at the first accepting state. The one-step
+/// semantics is [`Stepper`] — the same code the materialized construction
+/// runs — so the verdict is identical by construction; path automata come
+/// from the session's cache.
+///
+/// The lazy product BFS ticks `budget` per explored state and returns
 /// [`Verdict::Exhausted`] instead of completing an oversized
 /// exploration. Structural errors (multi-definition queries, label
 /// variables) stay in the `Err` channel.
@@ -561,7 +549,7 @@ fn reach_closure<A>(nfa: &Nfa<A>) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feas::{self, Constraints};
+    use crate::feas::Constraints;
     use ssd_base::SharedInterner;
     use ssd_query::parse_query;
     use ssd_schema::parse_schema;
@@ -576,6 +564,10 @@ mod tests {
         let s = parse_schema(SCHEMA, &pool).unwrap();
         let q = parse_query(query, &pool).unwrap();
         (q, s)
+    }
+
+    fn satisfiable_ptraces(q: &Query, s: &Schema) -> Result<bool> {
+        Session::new().satisfiable_ptraces(q, s)
     }
 
     #[test]
@@ -613,9 +605,10 @@ mod tests {
             "SELECT X WHERE Root = [b -> X, a -> Y]",
         ] {
             let (q, s) = setup(query);
-            let tg = TypeGraph::new(&s);
-            let by_feas = feas::analyze(&q, &s, &tg, &Constraints::none())
-                .unwrap()
+            let sess = Session::new();
+            let tg = sess.type_graph(&s);
+            let by_feas = sess
+                .feas_analysis(&q, &s, &tg, &Constraints::none())
                 .satisfiable;
             let by_traces = satisfiable_ptraces(&q, &s).unwrap();
             assert_eq!(by_feas, by_traces, "query {query}");

@@ -24,13 +24,14 @@
 //! concurrent cold misses on different keys do not serialize and a
 //! panicking caller thread cannot poison the caches for later callers.
 //!
-//! The classic free functions ([`crate::satisfiable`], [`crate::infer`],
-//! …) remain available as thin wrappers over a process-wide default
-//! session ([`Session::global`]), so existing callers get incrementality
-//! without any source change; callers that want isolated or bounded cache
-//! lifetimes create their own `Session`.
+//! The session is the only way into the engine: every decision —
+//! satisfiability, inference, total and partial type checking, P-traces
+//! satisfiability — is one `Session` method over one module-level
+//! implementation that takes the session and a [`Budget`]. There is no
+//! process-wide default session, so every call runs under its caller's
+//! [`SessionLimits`] and recorder.
 
-use ssd_base::sync::{Arc, AtomicU64, OnceLock, Ordering};
+use ssd_base::sync::{Arc, AtomicU64, Ordering};
 
 use ssd_automata::{AutomataCache, CacheStats, ShardedMap, TableStats};
 use ssd_base::budget::{Budget, Verdict};
@@ -177,9 +178,6 @@ pub struct Session {
     /// Session-table entries dropped by eviction passes (the automata
     /// cache counts its own flushes separately).
     evicted: AtomicU64,
-    /// Observability sink, fixed at construction ([`Session::with_recorder`]).
-    /// `None` means the engines run against the shared no-op recorder.
-    recorder: Option<Arc<dyn Recorder>>,
     // Hit/miss tallies are bumped and read at Relaxed: monotone
     // diagnostics with no data published through them. A stats snapshot
     // racing a lookup may see hit and miss counts from slightly
@@ -227,18 +225,17 @@ impl Session {
     /// and the per-table cache traffic of both the automata cache and the
     /// type-graph cache.
     pub fn with_recorder(rec: Arc<dyn Recorder>) -> Session {
-        let sess = Session {
-            recorder: Some(Arc::clone(&rec)),
+        Session {
+            automata: AutomataCache::with_recorder(rec),
             ..Session::default()
-        };
-        sess.automata.set_recorder(Some(rec));
-        sess
+        }
     }
 
-    /// The session's recorder (the shared no-op recorder when tracing is
-    /// off, so instrumented code never branches on `Option`).
+    /// The session's recorder, held by its automata cache (the shared
+    /// no-op recorder when tracing is off, so instrumented code never
+    /// branches on `Option`).
     pub fn recorder(&self) -> &dyn Recorder {
-        self.recorder.as_deref().unwrap_or(ssd_obs::noop())
+        self.automata.recorder()
     }
 
     /// A fresh session wired for *always-on* production telemetry:
@@ -296,14 +293,6 @@ impl Session {
         for (i, n) in self.automata.occupancy_by_shard().iter().enumerate() {
             registry.set_gauge_slot(gauge::SHARD_OCCUPANCY_AUTOMATA, i, *n as f64);
         }
-    }
-
-    /// The process-wide default session backing the classic free-function
-    /// entry points. Its caches are never invalidated — sound because
-    /// every cached artifact is a pure function of immutable keys.
-    pub fn global() -> &'static Session {
-        static GLOBAL: OnceLock<Session> = OnceLock::new();
-        GLOBAL.get_or_init(Session::new)
     }
 
     /// The shared automata cache.
@@ -763,7 +752,7 @@ impl Session {
 
     /// Satisfiability (type correctness) through this session's caches.
     pub fn satisfiable(&self, q: &Query, s: &Schema) -> Result<SatOutcome> {
-        dispatch::satisfiable_with_in(q, s, &Constraints::none(), self)
+        unlimited(|b| self.satisfiable_budgeted(q, s, b))
     }
 
     /// [`Session::satisfiable`] under a [`Budget`]: returns
@@ -778,17 +767,6 @@ impl Session {
         budget: &Budget,
     ) -> Result<Verdict<SatOutcome>> {
         dispatch::satisfiable_with_in_b(q, s, &Constraints::none(), self, budget)
-    }
-
-    /// [`Session::satisfiable_with`] under a [`Budget`].
-    pub fn satisfiable_with_budgeted(
-        &self,
-        q: &Query,
-        s: &Schema,
-        c: &Constraints,
-        budget: &Budget,
-    ) -> Result<Verdict<SatOutcome>> {
-        dispatch::satisfiable_with_in_b(q, s, c, self, budget)
     }
 
     /// [`Session::infer`] under a [`Budget`] (shared by every per-prefix
@@ -814,23 +792,34 @@ impl Session {
 
     /// Satisfiability under pinned types/labels.
     pub fn satisfiable_with(&self, q: &Query, s: &Schema, c: &Constraints) -> Result<SatOutcome> {
-        dispatch::satisfiable_with_in(q, s, c, self)
+        unlimited(|b| dispatch::satisfiable_with_in_b(q, s, c, self, b))
     }
 
     /// Type inference (all satisfiable SELECT assignments).
     pub fn infer(&self, q: &Query, s: &Schema) -> Result<Vec<InferredAssignment>> {
-        infer::infer_in(q, s, self)
+        unlimited(|b| self.infer_budgeted(q, s, b))
     }
 
     /// Total type checking of a full assignment.
     pub fn total_type_check(&self, q: &Query, s: &Schema, a: &TypeAssignment) -> Result<bool> {
-        typecheck::total_type_check_in(q, s, a, self)
+        unlimited(|b| typecheck::total_type_check_in_b(q, s, a, self, b))
+    }
+
+    /// Partial type checking: satisfiability with only the SELECT
+    /// variables pinned to `a`.
+    pub fn partial_type_check(
+        &self,
+        q: &Query,
+        s: &Schema,
+        a: &TypeAssignment,
+    ) -> Result<SatOutcome> {
+        unlimited(|b| typecheck::partial_type_check_in_b(q, s, a, self, b))
     }
 
     /// The literal P-traces satisfiability check, with the product
     /// emptiness decided lazily (early exit on the first witness).
     pub fn satisfiable_ptraces(&self, q: &Query, s: &Schema) -> Result<bool> {
-        ptraces::satisfiable_ptraces_in(q, s, self)
+        unlimited(|b| self.satisfiable_ptraces_budgeted(q, s, b))
     }
 
     /// Effectiveness counters of the automata cache (with the per-table
@@ -861,6 +850,12 @@ impl Session {
             },
         }
     }
+}
+
+/// Runs a budgeted decision under [`Budget::unlimited_ref`], which never
+/// trips, and unwraps its verdict.
+fn unlimited<T>(decide: impl FnOnce(&Budget) -> Result<Verdict<T>>) -> Result<T> {
+    decide(Budget::unlimited_ref()).map(|v| v.expect_done("unlimited budget never trips"))
 }
 
 /// Point-in-time cache counters of a [`Session`].
@@ -1009,9 +1004,9 @@ mod tests {
         let sess = Session::new();
         let cold = sess.satisfiable(&q, &s).unwrap();
         let warm = sess.satisfiable(&q, &s).unwrap();
-        let legacy = crate::satisfiable(&q, &s).unwrap();
+        let fresh = Session::new().satisfiable(&q, &s).unwrap();
         assert_eq!(cold, warm);
-        assert_eq!(cold, legacy);
+        assert_eq!(cold, fresh);
         assert!(cold.satisfiable);
     }
 
@@ -1058,7 +1053,9 @@ mod tests {
     fn infer_through_session_matches_legacy() {
         let (q, s) = setup();
         let sess = Session::new();
-        assert_eq!(sess.infer(&q, &s).unwrap(), crate::infer(&q, &s).unwrap());
+        let cold = sess.infer(&q, &s).unwrap();
+        assert_eq!(sess.infer(&q, &s).unwrap(), cold);
+        assert_eq!(Session::new().infer(&q, &s).unwrap(), cold);
     }
 
     #[test]

@@ -50,25 +50,13 @@ pub struct SolveResult {
 }
 
 /// Solves satisfiability for an arbitrary query (joins, unordered types,
-/// label variables) against an arbitrary schema.
-pub fn solve(q: &Query, s: &Schema) -> SolveResult {
-    solve_with(q, s, &Constraints::none())
-}
-
-/// Like [`solve`], with pinned variable types / labels (used for partial
-/// type checking and inference in the general case).
-pub fn solve_with(q: &Query, s: &Schema, c: &Constraints) -> SolveResult {
-    solve_with_in(q, s, c, Session::global())
-}
-
-/// [`solve_with`] through an explicit session: the schema's `TypeGraph`
-/// and the per-entry path automata come from the session's caches.
-pub fn solve_with_in(q: &Query, s: &Schema, c: &Constraints, sess: &Session) -> SolveResult {
-    solve_with_in_b(q, s, c, sess, Budget::unlimited_ref()).expect("unlimited budget never trips")
-}
-
-/// [`solve_with_in`] under a [`Budget`]: one fuel unit per search node
-/// expanded ([`Ctx::sat_node`]) and per join assignment tried, with the
+/// label variables) against an arbitrary schema, with the pinned variable
+/// types / labels of `c` (used for partial type checking and inference in
+/// the general case). The schema's `TypeGraph` and the per-entry path
+/// automata come from `sess`'s caches.
+///
+/// Runs under `budget`: one fuel unit per search node expanded
+/// ([`Ctx::sat_node`]) and per join assignment tried, with the
 /// retained-bytes estimate covering the success memo. An `Err` means
 /// the budget tripped before the search finished; the session's caches
 /// remain valid (the solver memoizes per call, not per session).

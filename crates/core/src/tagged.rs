@@ -23,12 +23,8 @@ use crate::typecheck::{total_check_ordered, TypeAssignment};
 
 /// Decides satisfiability for a constant-suffix query over a tagged,
 /// ordered schema, in PTIME. Errors if the inputs are outside the class.
-pub fn satisfiable_tagged(q: &Query, s: &Schema, tg: &TypeGraph, c: &Constraints) -> Result<bool> {
-    satisfiable_tagged_in(q, s, tg, c, crate::Session::global())
-}
-
-/// [`satisfiable_tagged`] with an explicit session, whose caches (automata
-/// tables and the feas memo) back the final total check.
+/// The session's caches (automata tables and the feas memo) back the final
+/// total check.
 pub fn satisfiable_tagged_in(
     q: &Query,
     s: &Schema,
@@ -145,6 +141,10 @@ mod tests {
         <!ELEMENT lastname #PCDATA >
         <!ELEMENT email #PCDATA >
     "#;
+
+    fn satisfiable_tagged(q: &Query, s: &Schema, tg: &TypeGraph, c: &Constraints) -> Result<bool> {
+        satisfiable_tagged_in(q, s, tg, c, &crate::Session::new())
+    }
 
     fn sat(query: &str) -> bool {
         let pool = SharedInterner::new();

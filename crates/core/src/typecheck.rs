@@ -21,11 +21,12 @@
 
 use std::collections::HashMap;
 
+use ssd_base::budget::{Budget, Verdict};
 use ssd_base::{Error, LabelId, Result, TypeIdx, VarId};
 use ssd_query::{Query, QueryClass, VarKind};
 use ssd_schema::{Schema, SchemaClass, TypeGraph};
 
-use crate::dispatch::{satisfiable_with, SatOutcome};
+use crate::dispatch::{satisfiable_with_in_b, SatOutcome};
 use crate::feas::Constraints;
 use crate::session::Session;
 use crate::solver;
@@ -70,17 +71,16 @@ impl TypeAssignment {
 
 /// Total type checking: is there a database conforming to `s` and a
 /// binding realizing exactly this assignment for **all** variables?
-pub fn total_type_check(q: &Query, s: &Schema, a: &TypeAssignment) -> Result<bool> {
-    total_type_check_in(q, s, a, Session::global())
-}
-
-/// [`total_type_check`] through an explicit session's caches.
-pub fn total_type_check_in(
+/// Runs through `sess`'s caches. The PTIME path for ordered schemas runs
+/// to completion; the general search underneath other schemas runs under
+/// `budget` and returns [`Verdict::Exhausted`] when it trips.
+pub fn total_type_check_in_b(
     q: &Query,
     s: &Schema,
     a: &TypeAssignment,
     sess: &Session,
-) -> Result<bool> {
+    budget: &Budget,
+) -> Result<Verdict<bool>> {
     // The pinned search underneath shares this check's trace id.
     let _req = ssd_obs::begin_request();
     let _span = ssd_obs::span(sess.recorder(), ssd_obs::names::span::TYPECHECK);
@@ -110,12 +110,14 @@ pub fn total_type_check_in(
     if !sclass.is_ordered_plus_homogeneous() {
         // NP in general: run the complete search with everything pinned.
         let c = a.to_constraints();
-        return Ok(solver::solve_with_in(q, s, &c, sess).satisfiable);
+        return Ok(solver::solve_with_in_b(q, s, &c, sess, budget)
+            .map(|r| r.satisfiable)
+            .into());
     }
 
     // PTIME path (Proposition 3.2).
     let tg = sess.type_graph(s);
-    Ok(total_check_ordered(q, s, &tg, a, sess))
+    Ok(Verdict::Done(total_check_ordered(q, s, &tg, a, sess)))
 }
 
 /// The PTIME total check for ordered (+ homogeneous) schemas. Each local
@@ -168,7 +170,7 @@ pub(crate) fn total_check_ordered(
         }
     }
     // Variables without definitions only need kind/inhabitation checks,
-    // which analyze_tree applies; run one unconstrained-leaf pass for them.
+    // which analyze_tree_obs applies; run one unconstrained-leaf pass for them.
     for v in q.vars() {
         if matches!(q.kind(v), VarKind::Node { .. } | VarKind::Value) && q.def(v).is_none() {
             let t = a.types[&v];
@@ -182,8 +184,15 @@ pub(crate) fn total_check_ordered(
 }
 
 /// Partial type checking: pins only the SELECT variables' types/labels and
-/// asks for satisfiability (Section 3's problem (3)).
-pub fn partial_type_check(q: &Query, s: &Schema, a: &TypeAssignment) -> Result<SatOutcome> {
+/// asks for satisfiability (Section 3's problem (3)) through `sess`'s
+/// caches under `budget`.
+pub fn partial_type_check_in_b(
+    q: &Query,
+    s: &Schema,
+    a: &TypeAssignment,
+    sess: &Session,
+    budget: &Budget,
+) -> Result<Verdict<SatOutcome>> {
     for v in a.types.keys().chain(a.labels.keys()) {
         if !q.select().contains(v) {
             return Err(Error::invalid(format!(
@@ -193,7 +202,7 @@ pub fn partial_type_check(q: &Query, s: &Schema, a: &TypeAssignment) -> Result<S
         }
     }
     let c = a.to_constraints();
-    satisfiable_with(q, s, &c)
+    satisfiable_with_in_b(q, s, &c, sess, budget)
 }
 
 #[cfg(test)]
@@ -222,6 +231,14 @@ mod tests {
         let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
         let q = parse_query(PAPER_QUERY, &pool).unwrap();
         (q, s)
+    }
+
+    fn total_type_check(q: &Query, s: &Schema, a: &TypeAssignment) -> Result<bool> {
+        Session::new().total_type_check(q, s, a)
+    }
+
+    fn partial_type_check(q: &Query, s: &Schema, a: &TypeAssignment) -> Result<SatOutcome> {
+        Session::new().partial_type_check(q, s, a)
     }
 
     #[test]

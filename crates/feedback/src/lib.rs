@@ -22,19 +22,21 @@ use ssd_automata::ops::trim;
 use ssd_automata::regexgen::nfa_to_regex;
 use ssd_automata::{LabelAtom, Nfa, Regex};
 use ssd_base::{Error, Result, TypeIdx, VarId};
-use ssd_core::feas::{self, Constraints};
+use ssd_core::feas::Constraints;
 use ssd_core::marker::TraceAtom;
 use ssd_core::ptraces::def_trace_automaton;
+use ssd_core::Session;
 use ssd_query::{EdgeExpr, PatDef, PatEdge, Query, QueryClass};
-use ssd_schema::{Schema, SchemaClass, TypeGraph};
+use ssd_schema::{Schema, SchemaClass};
 
 /// Computes the feedback query of `q` against `s` (Proposition 4.1).
 ///
 /// Requires a join-free query whose collection definitions are ordered and
 /// regex-only, over an ordered schema — the class for which the paper
 /// states the PTIME result (its Section 4.1 restriction plus the
-/// "straightforward" multi-definition extension).
-pub fn feedback_query(q: &Query, s: &Schema) -> Result<Query> {
+/// "straightforward" multi-definition extension). The type graph and every
+/// feasibility analysis come from (and are recorded in) `sess`.
+pub fn feedback_query(q: &Query, s: &Schema, sess: &Session) -> Result<Query> {
     let qclass = QueryClass::of(q);
     if !qclass.join_free() {
         return Err(Error::unsupported(
@@ -45,9 +47,9 @@ pub fn feedback_query(q: &Query, s: &Schema) -> Result<Query> {
     if !sclass.ordered {
         return Err(Error::unsupported("feedback queries need ordered schemas"));
     }
-    let tg = TypeGraph::new(s);
+    let tg = sess.type_graph(s);
     // Bottom-up feasible sets (leaf predicate).
-    let local = feas::analyze(q, s, &tg, &Constraints::none())?;
+    let local = sess.feas_analysis(q, s, &tg, &Constraints::none());
 
     let mut out = q.clone();
     for (di, (v, def)) in q.defs().iter().enumerate() {
@@ -69,9 +71,8 @@ pub fn feedback_query(q: &Query, s: &Schema) -> Result<Query> {
         let start_types: Vec<TypeIdx> = s
             .types()
             .filter(|&t| {
-                feas::analyze(q, s, &tg, &Constraints::none().pin_type(*v, t))
-                    .map(|a| a.satisfiable)
-                    .unwrap_or(false)
+                sess.feas_analysis(q, s, &tg, &Constraints::none().pin_type(*v, t))
+                    .satisfiable
             })
             .collect();
         let trace = def_trace_automaton(s, &tg, *v, &start_types, &regex_entries, &|tv, ty| {
@@ -192,7 +193,7 @@ mod tests {
             &pool,
         )
         .unwrap();
-        let fb = feedback_query(&q, &s).unwrap();
+        let fb = feedback_query(&q, &s, &Session::new()).unwrap();
 
         // Root entry stays paper.author (already minimal).
         let root_entry = entry_regex(&fb, 0, 0);
@@ -227,7 +228,7 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
         let q = parse_query("SELECT X WHERE Root = [_+ -> P]; P = [_._ -> X]", &pool).unwrap();
-        let fb = feedback_query(&q, &s).unwrap();
+        let fb = feedback_query(&q, &s, &Session::new()).unwrap();
         for (di, (_, def)) in q.defs().iter().enumerate() {
             for (ei, _) in def.edges().iter().enumerate() {
                 let orig = glushkov::build(&entry_regex(&q, di, ei));
@@ -242,7 +243,7 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
         let q = parse_query("SELECT X WHERE Root = [isbn -> X]", &pool).unwrap();
-        let fb = feedback_query(&q, &s).unwrap();
+        let fb = feedback_query(&q, &s, &Session::new()).unwrap();
         let r = entry_regex(&fb, 0, 0);
         assert!(r.is_empty_lang());
     }
@@ -257,7 +258,7 @@ mod tests {
             &pool,
         )
         .unwrap();
-        let fb = feedback_query(&q, &s).unwrap();
+        let fb = feedback_query(&q, &s, &Session::new()).unwrap();
         // On a concrete conforming document, results agree.
         let g = ssd_model::parse_data_graph(
             r#"o1 = [paper -> o2];
@@ -278,9 +279,9 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema("T = {a->U.b->V}; U = int; V = int", &pool).unwrap();
         let q = parse_query("SELECT X WHERE Root = {a -> X}", &pool).unwrap();
-        assert!(feedback_query(&q, &s).is_err()); // unordered schema
+        assert!(feedback_query(&q, &s, &Session::new()).is_err()); // unordered schema
         let s2 = parse_schema("T = [a->&U.b->&U]; &U = int", &pool).unwrap();
         let q2 = parse_query("SELECT X WHERE Root = [a -> &X, b -> &X]", &pool).unwrap();
-        assert!(feedback_query(&q2, &s2).is_err()); // joins
+        assert!(feedback_query(&q2, &s2, &Session::new()).is_err()); // joins
     }
 }

@@ -238,7 +238,7 @@ mod tests {
             let s = ordered_schema(&mut rng, &pool, &SchemaGenConfig::default());
             let tg = TypeGraph::new(&s);
             let q = joinfree_query(&s, &tg, &mut rng, &QueryGenConfig::default()).unwrap();
-            let a = ssd_core::feas::analyze(&q, &s, &tg, &ssd_core::Constraints::none()).unwrap();
+            let a = ssd_core::Session::new().satisfiable(&q, &s).unwrap();
             if a.satisfiable {
                 sat_count += 1;
             }

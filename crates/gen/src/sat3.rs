@@ -118,7 +118,7 @@ mod tests {
     use super::*;
     use ssd_base::rng::StdRng;
     use ssd_base::SharedInterner;
-    use ssd_core::solver;
+    use ssd_core::{solver, Budget, Constraints, Session};
     use ssd_query::parse_query;
     use ssd_schema::parse_schema;
 
@@ -126,7 +126,10 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(&f.schema_text(), &pool).unwrap();
         let q = parse_query(&f.query_text(), &pool).unwrap();
-        solver::solve(&q, &s).satisfiable
+        let none = Constraints::none();
+        solver::solve_with_in_b(&q, &s, &none, &Session::new(), Budget::unlimited_ref())
+            .unwrap()
+            .satisfiable
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //!
 //! ```
 //! use ssd_base::SharedInterner;
-//! use ssd_lint::{lint, Code};
+//! use ssd_core::{Budget, Constraints, Session};
+//! use ssd_lint::{lint_with, Code};
 //!
 //! let pool = SharedInterner::new();
 //! let s = ssd_schema::parse_schema("T = [a->U]; U = int", &pool).unwrap();
 //! let q = ssd_query::parse_query("SELECT X WHERE Root = [b -> X]", &pool).unwrap();
-//! let report = lint(&q, &s).unwrap();
+//! let sess = Session::new();
+//! let report = lint_with(&q, &s, &Constraints::none(), &sess, Budget::unlimited_ref()).unwrap();
 //! assert_eq!(report.count(Code::UnsatQuery), 1);
 //! assert_eq!(report.count(Code::UnknownLabel), 1);
 //! ```
@@ -36,7 +38,7 @@ pub mod diagnostic;
 pub mod lint;
 
 pub use diagnostic::{Code, Diagnostic, LintReport, Severity};
-pub use lint::{lint, lint_with};
+pub use lint::lint_with;
 
 #[cfg(test)]
 mod tests {
@@ -53,6 +55,11 @@ AUTHOR = [name->NAME.email->EMAIL];
 NAME = [firstname->FIRSTNAME.lastname->LASTNAME];
 TITLE = string; FIRSTNAME = string;
 LASTNAME = string; EMAIL = string"#;
+
+    fn lint(q: &ssd_query::Query, s: &ssd_schema::Schema) -> ssd_base::Result<LintReport> {
+        let sess = Session::new();
+        lint_with(q, s, &Constraints::none(), &sess, Budget::unlimited_ref())
+    }
 
     fn run(query: &str) -> LintReport {
         let pool = SharedInterner::new();

@@ -30,18 +30,6 @@ use ssd_schema::{Schema, SchemaClass, TypeGraph};
 
 use crate::diagnostic::{Code, Diagnostic, LintReport, Severity};
 
-/// Lints `q` against `s` with no pins, through the global session and an
-/// unlimited budget.
-pub fn lint(q: &Query, s: &Schema) -> Result<LintReport> {
-    lint_with(
-        q,
-        s,
-        &Constraints::none(),
-        Session::global(),
-        Budget::unlimited_ref(),
-    )
-}
-
 /// The full lint pass: runs every check through `sess`'s caches under
 /// `budget`, and returns ranked diagnostics. Structural errors (a broken
 /// schema, an unsupported query form reaching an engine) stay in the

@@ -24,7 +24,7 @@ pub mod span {
     /// Materializing product construction (`ssd_automata::product`).
     pub const PRODUCT: &str = "product";
     /// Lazy on-the-fly product emptiness BFS
-    /// (`ssd_automata::ops::is_empty_product`).
+    /// (`ssd_automata::ops::is_empty_product_b`).
     pub const PRODUCT_BFS: &str = "product_bfs";
     /// Algorithm selection + verdict (`ssd_core::dispatch`).
     pub const DISPATCH: &str = "dispatch";
@@ -49,7 +49,7 @@ pub mod span {
     /// plus the meter flushes inside it (`ssd_core::dispatch`).
     pub const BUDGET_CHECK: &str = "budget_check";
     /// Building a dense compiled transition table from a minimized DFA
-    /// (`ssd_automata::compiled::compile_rec`).
+    /// (the compiled-table miss path of `ssd_automata::AutomataCache`).
     pub const COMPILED_BUILD: &str = "compiled_build";
     /// The whole static-analysis pass (`ssd_lint::lint_with`).
     pub const LINT: &str = "lint";

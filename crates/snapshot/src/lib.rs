@@ -40,6 +40,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
+use ssd_base::sync::{AtomicU64, Ordering};
 use ssd_base::{crc32, ByteReader, ByteWriter};
 use ssd_obs::Recorder;
 
@@ -322,20 +323,23 @@ impl SnapshotWriter {
         w.into_bytes()
     }
 
-    /// Writes the snapshot crash-safely: serialize to `<path>.tmp` in the
-    /// same directory, fsync, rename over `path`, then best-effort fsync
-    /// the directory. Returns the byte size written. A crash at any point
-    /// leaves either the old file or the new file under `path`, never a
-    /// torn mix.
+    /// Writes the snapshot crash-safely: serialize to a unique temp
+    /// sibling in the same directory, fsync, rename over `path`, then
+    /// best-effort fsync the directory. Returns the byte size written. A
+    /// crash at any point leaves either the old file or the new file under
+    /// `path`, never a torn mix. Concurrent writers to one `path` each
+    /// stage to their own temp file, so the last rename wins whole; a
+    /// failed write removes its temp file.
     pub fn write_atomic(self, path: &Path) -> std::io::Result<u64> {
         let bytes = self.into_bytes();
         let tmp = tmp_path(path);
-        {
+        let staged = (|| {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
+            std::fs::rename(&tmp, path)
+        })();
+        if let Err(e) = staged {
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
@@ -349,10 +353,14 @@ impl SnapshotWriter {
     }
 }
 
-/// The temp sibling used by [`SnapshotWriter::write_atomic`].
+/// The temp sibling used by [`SnapshotWriter::write_atomic`]:
+/// `<name>.<pid>.<n>.tmp`, where `n` is a process-wide counter, so no two
+/// writers (threads or processes) ever stage to the same file.
 fn tmp_path(path: &Path) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
+    name.push(format!(".{}.{n}.tmp", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -590,7 +598,13 @@ mod tests {
         let n = w.write_atomic(&path).unwrap();
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk.len() as u64, n);
-        assert!(!tmp_path(&path).exists(), "temp sibling renamed away");
+        let strays: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|f| f.starts_with("warm.snap.") && f.ends_with(".tmp"))
+            .collect();
+        assert!(strays.is_empty(), "temp sibling renamed away: {strays:?}");
         let snap = parse(&on_disk).unwrap();
         assert_eq!(snap.sections.len(), 1);
         let _ = std::fs::remove_file(&path);

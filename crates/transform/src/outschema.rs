@@ -21,8 +21,8 @@ use ssd_automata::dfa::included;
 use ssd_automata::glushkov;
 use ssd_automata::Regex;
 use ssd_base::{Error, Result, TypeIdx, VarId};
-use ssd_core::dispatch::satisfiable_with;
 use ssd_core::feas::Constraints;
+use ssd_core::Session;
 use ssd_schema::{AtomicType, Schema, SchemaAtom, SchemaBuilder, TypeDef};
 
 use crate::skolem::{Target, Transformation};
@@ -33,8 +33,9 @@ use crate::skolem::{Target, Transformation};
 type OutKey = (String, Option<TypeIdx>);
 
 /// Infers the most specific output schema of a single-variable
-/// transformation over input schema `s`.
-pub fn infer_output_schema(t: &Transformation, s: &Schema) -> Result<Schema> {
+/// transformation over input schema `s`, deciding every pinned
+/// satisfiability probe through `sess`.
+pub fn infer_output_schema(t: &Transformation, s: &Schema, sess: &Session) -> Result<Schema> {
     t.validate()?;
     if !t.is_single_variable() {
         return Err(Error::unsupported(
@@ -59,7 +60,7 @@ pub fn infer_output_schema(t: &Transformation, s: &Schema) -> Result<Schema> {
                     c = c.pin_type(w, wt);
                 }
             }
-            if satisfiable_with(q, s, &c)?.satisfiable {
+            if sess.satisfiable_with(q, s, &c)?.satisfiable {
                 out.insert(ty);
             }
         }
@@ -173,8 +174,13 @@ fn pin_opt(pin: Option<(VarId, TypeIdx)>, _st: Option<TypeIdx>) -> Option<(VarId
 /// possible bags are allowed by a corresponding target type. Returns
 /// `Ok(true)` when the inclusion is established, `Ok(false)` when a
 /// definite mismatch is found.
-pub fn check_output_schema(t: &Transformation, s: &Schema, target: &Schema) -> Result<bool> {
-    let inferred = infer_output_schema(t, s)?;
+pub fn check_output_schema(
+    t: &Transformation,
+    s: &Schema,
+    target: &Schema,
+    sess: &Session,
+) -> Result<bool> {
+    let inferred = infer_output_schema(t, s, sess)?;
     // Simulation between schema types, starting at the roots: for every
     // inferred symbol set, the target type must allow arbitrary bags over
     // the (simulated) symbols.
@@ -279,7 +285,7 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(BIB_SCHEMA, &pool).unwrap();
         let t = bib_transform(&pool);
-        let out_schema = infer_output_schema(&t, &s).unwrap();
+        let out_schema = infer_output_schema(&t, &s, &Session::new()).unwrap();
 
         let g = parse_data_graph(
             r#"o1 = [paper -> o2];
@@ -303,7 +309,7 @@ mod tests {
         let pool = SharedInterner::new();
         let s = parse_schema(BIB_SCHEMA, &pool).unwrap();
         let t = bib_transform(&pool);
-        let out_schema = infer_output_schema(&t, &s).unwrap();
+        let out_schema = infer_output_schema(&t, &s, &Session::new()).unwrap();
         // The person nodes carry `last` leaves of type string only — no
         // int leaf type appears anywhere.
         for ty in out_schema.types() {
@@ -324,18 +330,18 @@ mod tests {
             &pool,
         )
         .unwrap();
-        assert!(check_output_schema(&t, &s, &good).unwrap());
+        assert!(check_output_schema(&t, &s, &good, &Session::new()).unwrap());
         // Restrictive target: last names must be ints.
         let bad =
             parse_schema("ROOT = {(person->&P)*}; &P = {(last->L)*}; L = int", &pool).unwrap();
-        assert!(!check_output_schema(&t, &s, &bad).unwrap());
+        assert!(!check_output_schema(&t, &s, &bad, &Session::new()).unwrap());
         // Wrong label.
         let bad2 = parse_schema(
             "ROOT = {(human->&P)*}; &P = {(last->L)*}; L = string",
             &pool,
         )
         .unwrap();
-        assert!(!check_output_schema(&t, &s, &bad2).unwrap());
+        assert!(!check_output_schema(&t, &s, &bad2, &Session::new()).unwrap());
     }
 
     #[test]
@@ -357,6 +363,6 @@ mod tests {
             }],
             root_fun: "Out".to_owned(),
         };
-        assert!(infer_output_schema(&t, &s).is_err());
+        assert!(infer_output_schema(&t, &s, &Session::new()).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use ssd::base::SharedInterner;
-use ssd::core::{infer, satisfiable};
+use ssd::core::Session;
 use ssd::model::parse_data_graph;
 use ssd::query::{parse_query, select_results};
 use ssd::schema::{conforms, parse_schema};
@@ -54,16 +54,18 @@ fn main() {
     let results = select_results(&q, &doc);
     println!("query returns {} binding(s)", results.len());
 
-    // Static analysis: satisfiability against the schema (Table 2's
-    // PTIME cell — join-free query, ordered schema).
-    let sat = satisfiable(&q, &schema).expect("class is supported");
+    // Static analysis runs through a session, which caches type graphs,
+    // automata and analyses across calls. Satisfiability against the
+    // schema (Table 2's PTIME cell — join-free query, ordered schema):
+    let sess = Session::new();
+    let sat = sess.satisfiable(&q, &schema).expect("class is supported");
     println!(
         "satisfiable w.r.t. the schema: {} (decided by {:?})",
         sat.satisfiable, sat.algorithm
     );
 
     // Type inference for the SELECT variable.
-    let inferred = infer(&q, &schema).expect("inference runs");
+    let inferred = sess.infer(&q, &schema).expect("inference runs");
     print!("inferred types for X:");
     for a in &inferred {
         if let ssd::core::infer::InferredValue::Type(t) = a.entries[0].1 {

@@ -6,6 +6,7 @@
 //! Run with `cargo run --example transform_publish`.
 
 use ssd::base::SharedInterner;
+use ssd::core::Session;
 use ssd::gen::corpora::{bibliography, PAPER_SCHEMA};
 use ssd::model::parse_data_graph;
 use ssd::query::parse_query;
@@ -53,7 +54,8 @@ fn main() {
     );
 
     // Output-schema inference (single-variable Skolem functions).
-    let out_schema = infer_output_schema(&t, &schema).unwrap();
+    let sess = Session::new();
+    let out_schema = infer_output_schema(&t, &schema, &sess).unwrap();
     println!("\ninferred output schema:\n{out_schema}\n");
     assert!(conforms(&output, &out_schema).is_some());
     println!("the actual output conforms to the inferred schema ✓");
@@ -64,6 +66,6 @@ fn main() {
         &pool,
     )
     .unwrap();
-    let ok = check_output_schema(&t, &schema, &target).unwrap();
+    let ok = check_output_schema(&t, &schema, &target, &sess).unwrap();
     println!("every output conforms to the target schema: {ok}");
 }

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example xml_bibliography`.
 
 use ssd::base::SharedInterner;
-use ssd::core::satisfiable;
+use ssd::core::Session;
 use ssd::gen::corpora::{bibliography, PAPER_QUERY, PAPER_SCHEMA, SINGLE_AUTHOR_SCHEMA};
 use ssd::model::{parse_data_graph, parse_xml};
 use ssd::query::{is_nonempty, parse_query};
@@ -51,7 +51,8 @@ fn main() {
     // The Abiteboul/Vianu query on a larger generated bibliography.
     let schema = parse_schema(PAPER_SCHEMA, &pool).unwrap();
     let q = parse_query(PAPER_QUERY, &pool).unwrap();
-    let sat = satisfiable(&q, &schema).unwrap();
+    let sess = Session::new();
+    let sat = sess.satisfiable(&q, &schema).unwrap();
     println!("Abiteboul/Vianu query satisfiable: {}", sat.satisfiable);
 
     let g = parse_data_graph(&bibliography(5, 2), &pool).unwrap();
@@ -70,7 +71,7 @@ fn main() {
         &pool,
     )
     .unwrap();
-    let sat2 = satisfiable(&q2, &single).unwrap();
+    let sat2 = sess.satisfiable(&q2, &single).unwrap();
     println!(
         "against the single-author schema: satisfiable = {}",
         sat2.satisfiable

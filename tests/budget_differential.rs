@@ -15,7 +15,7 @@ use std::time::Duration;
 use ssd::base::budget::{Budget, TripReason, Verdict};
 use ssd::base::rng::StdRng;
 use ssd::base::SharedInterner;
-use ssd::core::{ptraces, Constraints, Session, SessionLimits};
+use ssd::core::{Constraints, Session, SessionLimits};
 use ssd::gen::query_gen::{joinfree_query, QueryGenConfig};
 use ssd::gen::sat3::Sat3;
 use ssd::gen::schema_gen::{ordered_schema, unordered_schema, SchemaGenConfig};
@@ -81,7 +81,7 @@ fn unlimited_budget_is_bit_identical_to_legacy() {
 
         // P-traces only supports single-collection-definition queries;
         // budgeted and legacy must agree on *whether* it applies too.
-        match ptraces::satisfiable_ptraces_in(&q, &s, &sess) {
+        match sess.satisfiable_ptraces(&q, &s) {
             Ok(legacy_pt) => {
                 let budgeted_pt = sess
                     .satisfiable_ptraces_budgeted(&q, &s, &unlimited)
@@ -203,7 +203,7 @@ fn budgeted_infer_trips_and_recovers() {
     let (q2, s2) = workload(4);
     assert_eq!(
         sess.infer(&q2, &s2).unwrap(),
-        ssd::core::infer(&q2, &s2).unwrap(),
+        Session::new().infer(&q2, &s2).unwrap(),
         "inference stays correct after a trip"
     );
 }

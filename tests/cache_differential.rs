@@ -1,7 +1,8 @@
-//! Differential testing of the incremental session (tier-1): the legacy
-//! free functions, a cold `Session`, and a warm `Session` must return
-//! identical results on random corpora — caching and lazy emptiness must
-//! never change a verdict.
+//! Differential testing of the incremental session (tier-1): a long-lived
+//! `Session` shared across the whole corpus (the "legacy" route), a cold
+//! `Session`, and a warm `Session` must return identical results on
+//! random corpora — caching and lazy emptiness must never change a
+//! verdict.
 
 use ssd::base::rng::{Rng, StdRng};
 use ssd::base::SharedInterner;
@@ -37,13 +38,14 @@ fn workload(seed: u64) -> (Query, Schema) {
     (q, s)
 }
 
-/// `satisfiable` agrees between the legacy entry point, a cold session,
-/// and the same session warm (second run over identical inputs).
+/// `satisfiable` agrees between the long-lived shared session, a cold
+/// session, and the same session warm (second run over identical inputs).
 #[test]
 fn satisfiable_identical_cold_warm_legacy() {
+    let shared = Session::new();
     for seed in 0..30u64 {
         let (q, s) = workload(seed);
-        let legacy = ssd::core::satisfiable(&q, &s).unwrap();
+        let legacy = shared.satisfiable(&q, &s).unwrap();
         let sess = Session::new();
         let cold = sess.satisfiable(&q, &s).unwrap();
         let warm = sess.satisfiable(&q, &s).unwrap();
@@ -55,9 +57,10 @@ fn satisfiable_identical_cold_warm_legacy() {
 /// `infer` enumerates exactly the same assignments through any route.
 #[test]
 fn infer_identical_cold_warm_legacy() {
+    let shared = Session::new();
     for seed in 0..20u64 {
         let (q, s) = workload(seed);
-        let legacy = ssd::core::infer(&q, &s).unwrap();
+        let legacy = shared.infer(&q, &s).unwrap();
         let sess = Session::new();
         let cold = sess.infer(&q, &s).unwrap();
         let warm = sess.infer(&q, &s).unwrap();
@@ -70,6 +73,7 @@ fn infer_identical_cold_warm_legacy() {
 /// negative; the generator still hits positives via small schemas).
 #[test]
 fn total_type_check_identical_cold_warm_legacy() {
+    let shared = Session::new();
     for seed in 0..20u64 {
         let (q, s) = workload(seed);
         let mut rng = StdRng::seed_from_u64(1000 + seed);
@@ -98,7 +102,7 @@ fn total_type_check_identical_cold_warm_legacy() {
                     }
                 }
             }
-            let legacy = ssd::core::total_type_check(&q, &s, &a);
+            let legacy = shared.total_type_check(&q, &s, &a);
             let cold = sess.total_type_check(&q, &s, &a);
             let warm = sess.total_type_check(&q, &s, &a);
             match (legacy, cold, warm) {

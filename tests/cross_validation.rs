@@ -4,8 +4,8 @@
 
 use ssd::base::rng::StdRng;
 use ssd::base::SharedInterner;
-use ssd::core::feas::{analyze, Constraints};
-use ssd::core::{ptraces, solver};
+use ssd::core::feas::{analyze_obs, Constraints};
+use ssd::core::{solver, Budget, Session};
 use ssd::gen::data_gen::{sample_instance, DataGenConfig};
 use ssd::gen::query_gen::{joinfree_query, QueryGenConfig};
 use ssd::gen::schema_gen::{ordered_schema, SchemaGenConfig};
@@ -34,10 +34,14 @@ fn engines_agree_on_random_ordered_workloads() {
         };
         let q = joinfree_query(&s, &tg, &mut rng, &qcfg).unwrap();
 
-        let by_feas = analyze(&q, &s, &tg, &Constraints::none())
+        let sess = Session::new();
+        let none = Constraints::none();
+        let by_feas = analyze_obs(&q, &s, &tg, &none, sess.automata(), ssd::obs::noop())
             .unwrap()
             .satisfiable;
-        let by_solver = solver::solve(&q, &s).satisfiable;
+        let by_solver = solver::solve_with_in_b(&q, &s, &none, &sess, Budget::unlimited_ref())
+            .unwrap()
+            .satisfiable;
         assert_eq!(by_feas, by_solver, "seed {seed}\nschema:\n{s}\nquery:\n{q}");
 
         // Dynamic check: sampled instances conform, and a match on any
@@ -73,10 +77,12 @@ fn ptraces_agree_with_feas_on_random_single_defs() {
             },
         )
         .unwrap();
-        let by_feas = analyze(&q, &s, &tg, &Constraints::none())
+        let sess = Session::new();
+        let none = Constraints::none();
+        let by_feas = analyze_obs(&q, &s, &tg, &none, sess.automata(), ssd::obs::noop())
             .unwrap()
             .satisfiable;
-        let by_traces = ptraces::satisfiable_ptraces(&q, &s).unwrap();
+        let by_traces = sess.satisfiable_ptraces(&q, &s).unwrap();
         assert_eq!(by_feas, by_traces, "seed {seed}\n{s}\n{q}");
     }
 }

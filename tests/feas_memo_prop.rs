@@ -149,7 +149,8 @@ fn memoized_answers_match_cold_ones() {
     for (s, q, c) in &items {
         let tg = sess.type_graph(s);
         let memoized = sess.feas_analysis(q, s, &tg, c);
-        let scratch = ssd::core::feas::analyze_tree(q, s, &tg, c);
+        let cache = ssd::automata::AutomataCache::new();
+        let scratch = ssd::core::feas::analyze_tree_obs(q, s, &tg, c, &cache, ssd::obs::noop());
         assert_eq!(*memoized, scratch, "memoized Feas(X) tables drifted");
     }
 }

@@ -12,7 +12,7 @@
 //!    unsatisfiability nor swallows it.
 
 use ssd::base::SharedInterner;
-use ssd::core::{dispatch, Constraints, Session};
+use ssd::core::{Constraints, Session};
 use ssd::lint::{lint_with, Code};
 use ssd::query::Query;
 use ssd::schema::Schema;
@@ -59,9 +59,7 @@ fn lint_never_changes_dispatch_verdicts() {
     for (schema, query) in CASES {
         let pool = SharedInterner::new();
         let (s, q) = parse(schema, query, &pool);
-        let before = dispatch::satisfiable_with_in(&q, &s, &c, &sess)
-            .expect(query)
-            .satisfiable;
+        let before = sess.satisfiable_with(&q, &s, &c).expect(query).satisfiable;
         let _report = lint_with(
             &q,
             &s,
@@ -70,9 +68,7 @@ fn lint_never_changes_dispatch_verdicts() {
             ssd::base::budget::Budget::unlimited_ref(),
         )
         .expect(query);
-        let after = dispatch::satisfiable_with_in(&q, &s, &c, &sess)
-            .expect(query)
-            .satisfiable;
+        let after = sess.satisfiable_with(&q, &s, &c).expect(query).satisfiable;
         assert_eq!(
             before, after,
             "{query}: dispatch verdict changed across a lint pass"
@@ -87,9 +83,7 @@ fn unsat_diagnostic_iff_dispatcher_says_unsatisfiable() {
     for (schema, query) in CASES {
         let pool = SharedInterner::new();
         let (s, q) = parse(schema, query, &pool);
-        let sat = dispatch::satisfiable_with_in(&q, &s, &c, &sess)
-            .expect(query)
-            .satisfiable;
+        let sat = sess.satisfiable_with(&q, &s, &c).expect(query).satisfiable;
         let report = lint_with(
             &q,
             &s,

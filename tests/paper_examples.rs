@@ -1,7 +1,7 @@
 //! Every worked example of Milo & Suciu (PODS 1999), end to end.
 
 use ssd::base::SharedInterner;
-use ssd::core::{infer, partial_type_check, satisfiable, total_type_check, TypeAssignment};
+use ssd::core::{Session, TypeAssignment};
 use ssd::feedback::feedback_query;
 use ssd::gen::corpora::*;
 use ssd::model::{parse_data_graph, parse_xml};
@@ -43,9 +43,10 @@ fn section3_problems() {
     let pool = SharedInterner::new();
     let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
     let q = parse_query(PAPER_QUERY, &pool).unwrap();
+    let sess = Session::new();
 
     // Q is satisfiable for S…
-    assert!(satisfiable(&q, &s).unwrap().satisfiable);
+    assert!(sess.satisfiable(&q, &s).unwrap().satisfiable);
     // …but not for the single-author schema.
     let single = parse_schema(SINGLE_AUTHOR_SCHEMA, &pool).unwrap();
     let q2 = parse_query(
@@ -55,7 +56,7 @@ fn section3_problems() {
         &pool,
     )
     .unwrap();
-    assert!(!satisfiable(&q2, &single).unwrap().satisfiable);
+    assert!(!sess.satisfiable(&q2, &single).unwrap().satisfiable);
 
     // Total type checking: positive and negative assignments of §3.
     let v = |n: &str| q.var_by_name(n).unwrap();
@@ -65,22 +66,22 @@ fn section3_problems() {
         .with_type(v("X1"), t("PAPER"))
         .with_type(v("X2"), t("LASTNAME"))
         .with_type(v("X3"), t("FIRSTNAME"));
-    assert!(total_type_check(&q, &s, &good).unwrap());
+    assert!(sess.total_type_check(&q, &s, &good).unwrap());
     let bad = TypeAssignment::new()
         .with_type(v("Root"), t("DOCUMENT"))
         .with_type(v("X1"), t("PAPER"))
         .with_type(v("X2"), t("LASTNAME"))
         .with_type(v("X3"), t("EMAIL"));
-    assert!(!total_type_check(&q, &s, &bad).unwrap());
+    assert!(!sess.total_type_check(&q, &s, &bad).unwrap());
 
     // Partial type checking: X1/PAPER positive, X1/NAME negative.
     let pos = TypeAssignment::new().with_type(v("X1"), t("PAPER"));
-    assert!(partial_type_check(&q, &s, &pos).unwrap().satisfiable);
+    assert!(sess.partial_type_check(&q, &s, &pos).unwrap().satisfiable);
     let neg = TypeAssignment::new().with_type(v("X1"), t("NAME"));
-    assert!(!partial_type_check(&q, &s, &neg).unwrap().satisfiable);
+    assert!(!sess.partial_type_check(&q, &s, &neg).unwrap().satisfiable);
 
     // Inference: the single type PAPER.
-    let inf = infer(&q, &s).unwrap();
+    let inf = sess.infer(&q, &s).unwrap();
     assert_eq!(inf.len(), 1);
 }
 
@@ -93,7 +94,7 @@ fn section41_feedback() {
     let pool = SharedInterner::new();
     let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
     let q = parse_query(FEEDBACK_QUERY, &pool).unwrap();
-    let fb = feedback_query(&q, &s).unwrap();
+    let fb = feedback_query(&q, &s, &Session::new()).unwrap();
     let printed = fb.to_string();
     assert!(
         printed.contains("email -> X3"),

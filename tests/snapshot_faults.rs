@@ -38,15 +38,17 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// A warmed snapshot image plus the cold verdicts it was derived from.
-fn warmed_image() -> (Vec<u8>, Vec<bool>) {
+/// A warmed snapshot image plus the cold verdicts it was derived from,
+/// staged through the file `name` (one per test, so tests running in
+/// parallel never share a path).
+fn warmed_image(name: &str) -> (Vec<u8>, Vec<bool>) {
     let (s, qs) = corpus();
     let sess = Session::new();
     let verdicts: Vec<bool> = qs
         .iter()
         .map(|q| sess.satisfiable(q, &s).unwrap().satisfiable)
         .collect();
-    let path = tmp("warm.snap");
+    let path = tmp(name);
     sess.save_snapshot(&path, &[&s]).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -91,7 +93,7 @@ fn load_and_check(bytes: &[u8], name: &str, cold: &[bool]) -> ssd::core::LoadOut
 
 #[test]
 fn pristine_snapshot_loads_fully() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("pristine-warm.snap");
     let out = load_and_check(&bytes, "pristine.snap", &cold);
     assert!(out.any_loaded());
     assert_eq!(out.sections_rejected, 0, "{out}");
@@ -103,7 +105,7 @@ fn pristine_snapshot_loads_fully() {
 /// and keep every other section loaded.
 #[test]
 fn bit_flips_at_each_section_boundary_degrade_per_section() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("flip-warm.snap");
     let pristine = load_and_check(&bytes, "flip-base.snap", &cold);
     let total = pristine.sections_loaded + pristine.sections_rejected;
     // Walk the frames exactly as the parser does to find each payload.
@@ -154,7 +156,7 @@ fn bit_flips_at_each_section_boundary_degrade_per_section() {
 /// sections, reject the rest, and never panic.
 #[test]
 fn torn_writes_at_every_prefix_never_panic() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("torn-warm.snap");
     let (s, qs) = corpus();
     for cut in 0..bytes.len() {
         let sess = Session::new();
@@ -176,7 +178,7 @@ fn torn_writes_at_every_prefix_never_panic() {
 
 #[test]
 fn version_skew_rejects_whole_file() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("version-skew-warm.snap");
     let mut m = bytes.clone();
     // Version field at offset 8; patch it and re-stamp the header CRC so
     // the skew is seen as skew, not corruption.
@@ -191,7 +193,7 @@ fn version_skew_rejects_whole_file() {
 
 #[test]
 fn format_fingerprint_skew_rejects_whole_file() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("format-skew-warm.snap");
     let mut m = bytes.clone();
     m[12] ^= 0xFF; // format fingerprint at offset 12
     let crc = ssd::base::crc32(&m[..32]);
@@ -203,7 +205,7 @@ fn format_fingerprint_skew_rejects_whole_file() {
 
 #[test]
 fn header_corruption_without_restamp_reads_as_corruption() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("header-crc-warm.snap");
     let mut m = bytes.clone();
     m[8] ^= 0xFF; // version byte, CRC left stale
     let out = load_and_check(&m, "header-crc.snap", &cold);
@@ -216,7 +218,7 @@ fn header_corruption_without_restamp_reads_as_corruption() {
 /// against the header's section count — and leave the session usable.
 #[test]
 fn oversized_declared_length_rejects_remainder() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("oversize-warm.snap");
     let pristine = load_and_check(&bytes, "oversize-base.snap", &cold);
     let total = pristine.sections_loaded + pristine.sections_rejected;
     let mut m = bytes.clone();
@@ -235,7 +237,7 @@ fn oversized_declared_length_rejects_remainder() {
 /// every section without touching the session's caches.
 #[test]
 fn unknown_schema_fingerprint_rejects_sections() {
-    let (bytes, _) = warmed_image();
+    let (bytes, _) = warmed_image("unknown-schema-warm.snap");
     let pool = SharedInterner::new();
     let other = parse_schema("T = [z->V]; V = int", &pool).unwrap();
     let q = parse_query("SELECT X WHERE Root = [z -> X]", &pool).unwrap();
@@ -259,7 +261,7 @@ fn unknown_schema_fingerprint_rejects_sections() {
 /// separate so a failure pinpoints the offset.)
 #[test]
 fn single_bit_flip_sweep_never_panics_and_verdicts_hold() {
-    let (bytes, cold) = warmed_image();
+    let (bytes, cold) = warmed_image("sweep-warm.snap");
     let (s, qs) = corpus();
     for at in 0..bytes.len() {
         let mut m = bytes.clone();
@@ -289,4 +291,64 @@ fn missing_file_degrades_to_cold() {
     for q in &qs {
         let _ = sess.satisfiable(q, &s).unwrap();
     }
+}
+
+/// Sessions saving to one path at once each stage through their own temp
+/// sibling: every save returns `Ok`, or an error that leaves no temp file
+/// behind (and never the NotFound of a staging file renamed away by
+/// another writer), and whichever rename lands last leaves a file that
+/// loads clean.
+#[test]
+fn concurrent_savers_to_one_path_never_collide() {
+    const SAVERS: usize = 8;
+    const ROUNDS: usize = 4;
+    let (s, qs) = corpus();
+    let path = tmp("concurrent.snap");
+    let start = std::sync::Barrier::new(SAVERS);
+    let results: Vec<std::io::Result<u64>> = std::thread::scope(|scope| {
+        let savers: Vec<_> = (0..SAVERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let sess = Session::new();
+                    for q in &qs {
+                        sess.satisfiable(q, &s).unwrap();
+                    }
+                    start.wait();
+                    (0..ROUNDS)
+                        .map(|_| sess.save_snapshot(&path, &[&s]))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        savers.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    assert!(results.iter().any(|r| r.is_ok()), "{results:?}");
+    // A writer whose staging file another writer renamed away fails with
+    // NotFound: the symptom of a shared temp path.
+    assert!(
+        !results
+            .iter()
+            .any(|r| matches!(r, Err(e) if e.kind() == std::io::ErrorKind::NotFound)),
+        "a save lost its staging file to another writer: {results:?}"
+    );
+    let dir = path.parent().unwrap();
+    let strays: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|f| f.starts_with("concurrent.snap.") && f.ends_with(".tmp"))
+        .collect();
+    assert!(strays.is_empty(), "stray temp files: {strays:?}");
+
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let cold: Vec<bool> = {
+        let sess = Session::new();
+        qs.iter()
+            .map(|q| sess.satisfiable(q, &s).unwrap().satisfiable)
+            .collect()
+    };
+    let out = load_and_check(&bytes, "concurrent-load.snap", &cold);
+    assert!(out.any_loaded());
+    assert_eq!(out.sections_rejected, 0, "{out}");
 }
