@@ -253,7 +253,18 @@ impl<'a> ByteReader<'a> {
 /// schema content fingerprints): deterministic, order-sensitive, and
 /// `const` so format tags can be baked into constants.
 pub const fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a64_extend(FNV1A64_INIT, bytes)
+}
+
+/// The FNV-1a 64-bit offset basis: the state of [`fnv1a64`] before any
+/// byte is hashed.
+const FNV1A64_INIT: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash from `state` over `bytes`, so
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`. Lets a caller
+/// cache the state after a fixed prefix and hash only the suffix.
+pub const fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     let mut i = 0;
     while i < bytes.len() {
         h ^= bytes[i] as u64;
@@ -279,6 +290,13 @@ mod tests {
         let whole = crc32(b"hello world");
         let split = crc32_update(crc32(b"hello "), b"world");
         assert_eq!(whole, split);
+    }
+
+    #[test]
+    fn fnv1a64_extend_is_incremental() {
+        let whole = fnv1a64(b"hello world");
+        assert_eq!(fnv1a64_extend(fnv1a64(b"hello "), b"world"), whole);
+        assert_eq!(fnv1a64_extend(FNV1A64_INIT, b"hello world"), whole);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod span;
 pub mod sync;
 
 pub use budget::{Budget, BudgetResult, Exhausted, Meter, TripReason, Verdict};
-pub use bytes::{crc32, crc32_update, fnv1a64, ByteReader, ByteWriter};
+pub use bytes::{crc32, crc32_update, fnv1a64, fnv1a64_extend, ByteReader, ByteWriter};
 pub use error::{Error, Result};
 pub use ids::{LabelId, OidId, TypeIdx, VarId};
 pub use interner::{Interner, SharedInterner};

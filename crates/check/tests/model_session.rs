@@ -1,6 +1,8 @@
 //! Model checks of the session memo layer: racing `satisfiable` calls
-//! publish one memo entry, and the pathological entry-cap-0 eviction
-//! policy never costs a caller correctness — only recomputation.
+//! publish one memo entry, the pathological entry-cap-0 eviction
+//! policy never costs a caller correctness — only recomputation — and
+//! the facts a query or schema derives on first use are filled once,
+//! identically, whichever thread gets there first.
 //!
 //! Scenarios here drive the *real* session code (type-graph build, feas
 //! analysis, automata cache) through the controlled scheduler, so the
@@ -9,7 +11,8 @@
 
 use ssd_bench::workload;
 use ssd_check::{check_with, thread, Config};
-use ssd_core::{Session, SessionLimits};
+use ssd_core::{Constraints, FeasKey, Session, SessionLimits};
+use ssd_query::QueryClass;
 use std::sync::Arc;
 
 /// Two threads asking the same question race to publish one memo entry:
@@ -85,6 +88,49 @@ fn cap_zero_eviction_costs_recomputation_never_correctness() {
                 "lookups still fully accounted: {:?}",
                 st.feas_memo_table
             );
+        },
+    );
+    report.assert_ok();
+}
+
+/// Two threads race the first use of one query's and one schema's
+/// derived facts: `Query::class`, `Schema::tags`, and `FeasKey::new`
+/// (which reads the query's cached encoding). The once-slot elects one
+/// initializer and publishes its value; both threads must see exactly
+/// the facts a from-scratch derivation computes, with no race reported.
+#[test]
+fn racing_first_uses_of_derived_facts_agree() {
+    let (schema, _tg, query) = workload(1100, 6, 1, true, false);
+    // The references come from clones, so `schema` and `query` keep
+    // empty slots and every execution below races to fill fresh ones.
+    let class = QueryClass::of(&query);
+    let key = FeasKey::new(&query.clone(), &Constraints::none());
+    let tags = schema.clone().tags().cloned();
+    assert!(tags.is_some(), "a tagged workload has a tag map");
+    let (schema, query) = (Arc::new(schema), Arc::new(query));
+    let report = check_with(
+        "derived-facts.fill-once",
+        Config::with_max_schedules(64),
+        move || {
+            let q = Arc::new((*query).clone());
+            let s = Arc::new((*schema).clone());
+            let (q2, s2) = (Arc::clone(&q), Arc::clone(&s));
+            let derive = |q: &ssd_query::Query, s: &ssd_schema::Schema| {
+                (
+                    q.class().clone(),
+                    s.tags().cloned(),
+                    FeasKey::new(q, &Constraints::none()),
+                )
+            };
+            let t = thread::spawn(move || derive(&q2, &s2));
+            let mine = derive(&q, &s);
+            let theirs = t.join();
+            for (who, (c, t, k)) in [("main", mine), ("spawned", theirs)] {
+                assert_eq!(c, class, "{who}: class diverged");
+                assert_eq!(t, tags, "{who}: tag map diverged");
+                assert_eq!(k, key, "{who}: memo key diverged");
+                assert_eq!(k.fingerprint(), key.fingerprint(), "{who}");
+            }
         },
     );
     report.assert_ok();

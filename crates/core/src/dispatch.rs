@@ -19,8 +19,8 @@
 use ssd_base::budget::{Budget, BudgetResult, Meter, Verdict};
 use ssd_base::VarId;
 use ssd_obs::{names, Recorder};
-use ssd_query::{Query, QueryClass, VarKind};
-use ssd_schema::{Schema, SchemaClass, TypeGraph};
+use ssd_query::{Query, VarKind};
+use ssd_schema::{Schema, TypeGraph};
 
 use crate::feas::Constraints;
 use crate::session::Session;
@@ -105,8 +105,8 @@ fn dispatch_inner(
     rec: &dyn Recorder,
     budget: &Budget,
 ) -> crate::Result<Verdict<SatOutcome>> {
-    let qclass = QueryClass::of(q);
-    let sclass = SchemaClass::of(s);
+    let qclass = q.class();
+    let sclass = s.class();
 
     if sclass.is_ordered_plus_homogeneous() {
         let tg = sess.type_graph(s);

@@ -32,7 +32,7 @@ use ssd_automata::syntax::Atom as _;
 use ssd_automata::{AutomataCache, LabelAtom, Nfa};
 use ssd_base::{Error, LabelId, Result, TypeIdx, VarId};
 use ssd_obs::{names, Recorder};
-use ssd_query::{EdgeExpr, PatDef, Query, QueryClass, VarKind};
+use ssd_query::{EdgeExpr, PatDef, Query, VarKind};
 use ssd_schema::{AtomicType, Schema, SchemaAtom, TypeDef, TypeGraph};
 
 /// Pinned assignments for type checking / inference: node and value
@@ -113,8 +113,7 @@ pub fn analyze_obs(
     cache: &AutomataCache,
     rec: &dyn Recorder,
 ) -> Result<FeasAnalysis> {
-    let class = QueryClass::of(q);
-    if !class.join_free() {
+    if !q.class().join_free() {
         return Err(Error::unsupported(
             "the trace-product engine requires a join-free query",
         ));

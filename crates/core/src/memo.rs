@@ -8,7 +8,9 @@
 //! pools, or any ambient state. [`FeasKey`] captures exactly that input as
 //! an injective byte encoding (every variable-length field is
 //! length-prefixed, every enum case tagged, so decoding is unambiguous),
-//! plus an FNV-1a fingerprint of the bytes for O(1) hashing.
+//! plus an FNV-1a fingerprint of the bytes for O(1) hashing. The query
+//! half of the encoding lives in [`ssd_query::canonical`] and is computed
+//! once per query, so building a key costs only its pin section.
 //!
 //! Like [`ssd_automata::HcRegex`], the fingerprint is only the fast
 //! pre-key: map lookups compare the stored canonical bytes, so a 64-bit
@@ -16,9 +18,8 @@
 //! costs a bucket walk. `tests/feas_memo_prop.rs` checks injectivity (and
 //! collision-freedom in practice) on random corpora.
 
-use ssd_automata::{LabelAtom, Regex};
-use ssd_model::Value;
-use ssd_query::{EdgeExpr, PatDef, Query, VarKind};
+use ssd_base::fnv1a64;
+use ssd_query::Query;
 use std::sync::Arc;
 
 use crate::feas::Constraints;
@@ -35,13 +36,24 @@ pub struct FeasKey {
 }
 
 impl FeasKey {
-    /// The canonical key of `q` under `c`.
+    /// The canonical key of `q` under `c`: the query's cached structural
+    /// encoding ([`Query::canonical`]) followed by the pin section. Only
+    /// the pins are encoded and hashed here; a key without pins shares
+    /// the query's cached bytes instead of copying them.
     pub fn new(q: &Query, c: &Constraints) -> FeasKey {
-        let mut bytes = Vec::with_capacity(64 + 8 * q.size());
-        encode_query(q, &mut bytes);
-        encode_constraints(c, &mut bytes);
+        let canon = q.canonical();
+        if c.var_types.is_empty() && c.label_vars.is_empty() && c.leaf_vars.is_empty() {
+            return FeasKey {
+                fp: canon.unpinned_fingerprint(),
+                bytes: Arc::clone(canon.unpinned()),
+            };
+        }
+        let mut types: Vec<_> = c.var_types.iter().map(|(v, t)| (v.0, t.0)).collect();
+        let mut labels: Vec<_> = c.label_vars.iter().map(|(v, l)| (v.0, l.0)).collect();
+        let mut leaves: Vec<_> = c.leaf_vars.iter().map(|v| v.0).collect();
+        let (fp, bytes) = canon.pinned(&mut types, &mut labels, &mut leaves);
         FeasKey {
-            fp: fnv1a(&bytes),
+            fp,
             bytes: bytes.into(),
         }
     }
@@ -64,7 +76,7 @@ impl FeasKey {
     /// never matches a live query, which is harmless.
     pub fn from_canonical_bytes(bytes: &[u8]) -> FeasKey {
         FeasKey {
-            fp: fnv1a(bytes),
+            fp: fnv1a64(bytes),
             bytes: bytes.into(),
         }
     }
@@ -81,169 +93,6 @@ impl Eq for FeasKey {}
 impl std::hash::Hash for FeasKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.fp);
-    }
-}
-
-/// FNV-1a over a byte slice (the same stream hash the regex fingerprint
-/// uses, applied to the canonical encoding).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u32(buf, u32::try_from(v).expect("encoding length overflow"));
-}
-
-/// Encodes everything the engines read from a query: variable kinds (by
-/// index), the definitions in source order, and the SELECT list. Variable
-/// *names* are deliberately excluded — the analysis never reads them, so
-/// alpha-renamed queries share one memo entry.
-fn encode_query(q: &Query, buf: &mut Vec<u8>) {
-    put_usize(buf, q.num_vars());
-    for v in q.vars() {
-        buf.push(match q.kind(v) {
-            VarKind::Node {
-                referenceable: false,
-            } => 0,
-            VarKind::Node {
-                referenceable: true,
-            } => 1,
-            VarKind::Label => 2,
-            VarKind::Value => 3,
-        });
-    }
-    put_usize(buf, q.defs().len());
-    for (v, def) in q.defs() {
-        put_usize(buf, v.index());
-        match def {
-            PatDef::Value(val) => {
-                buf.push(0);
-                encode_value(val, buf);
-            }
-            PatDef::ValueVar(vv) => {
-                buf.push(1);
-                put_usize(buf, vv.index());
-            }
-            PatDef::Unordered(entries) | PatDef::Ordered(entries) => {
-                buf.push(if def.is_ordered() { 3 } else { 2 });
-                put_usize(buf, entries.len());
-                for e in entries {
-                    match &e.expr {
-                        EdgeExpr::Regex(r) => {
-                            buf.push(0);
-                            encode_regex(r, buf);
-                        }
-                        EdgeExpr::LabelVar(lv) => {
-                            buf.push(1);
-                            put_usize(buf, lv.index());
-                        }
-                    }
-                    put_usize(buf, e.target.index());
-                }
-            }
-        }
-    }
-    put_usize(buf, q.select().len());
-    for v in q.select() {
-        put_usize(buf, v.index());
-    }
-}
-
-/// Preorder structural encoding of a path regex. Tags disambiguate every
-/// variant and n-ary nodes carry their arity, so the encoding is injective.
-fn encode_regex(r: &Regex<LabelAtom>, buf: &mut Vec<u8>) {
-    match r {
-        Regex::Empty => buf.push(0),
-        Regex::Epsilon => buf.push(1),
-        Regex::Atom(LabelAtom::Any) => buf.push(2),
-        Regex::Atom(LabelAtom::Label(l)) => {
-            buf.push(3);
-            put_u32(buf, l.0);
-        }
-        Regex::Star(inner) => {
-            buf.push(4);
-            encode_regex(inner, buf);
-        }
-        Regex::Plus(inner) => {
-            buf.push(5);
-            encode_regex(inner, buf);
-        }
-        Regex::Opt(inner) => {
-            buf.push(6);
-            encode_regex(inner, buf);
-        }
-        Regex::Concat(parts) => {
-            buf.push(7);
-            put_usize(buf, parts.len());
-            for p in parts {
-                encode_regex(p, buf);
-            }
-        }
-        Regex::Alt(parts) => {
-            buf.push(8);
-            put_usize(buf, parts.len());
-            for p in parts {
-                encode_regex(p, buf);
-            }
-        }
-    }
-}
-
-/// Encodes a constant value with bitwise identity semantics (floats by
-/// bits, matching the engine's `Value` equality).
-fn encode_value(v: &Value, buf: &mut Vec<u8>) {
-    match v {
-        Value::Int(i) => {
-            buf.push(0);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            buf.push(1);
-            buf.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(2);
-            put_usize(buf, s.len());
-            buf.extend_from_slice(s.as_bytes());
-        }
-        Value::Bool(b) => {
-            buf.push(3);
-            buf.push(u8::from(*b));
-        }
-    }
-}
-
-/// Encodes the pins in a canonical (sorted) order, so structurally equal
-/// constraint sets encode identically regardless of map iteration order.
-fn encode_constraints(c: &Constraints, buf: &mut Vec<u8>) {
-    let mut types: Vec<_> = c.var_types.iter().map(|(v, t)| (v.0, t.0)).collect();
-    types.sort_unstable();
-    put_usize(buf, types.len());
-    for (v, t) in types {
-        put_u32(buf, v);
-        put_u32(buf, t);
-    }
-    let mut labels: Vec<_> = c.label_vars.iter().map(|(v, l)| (v.0, l.0)).collect();
-    labels.sort_unstable();
-    put_usize(buf, labels.len());
-    for (v, l) in labels {
-        put_u32(buf, v);
-        put_u32(buf, l);
-    }
-    let mut leaves: Vec<_> = c.leaf_vars.iter().map(|v| v.0).collect();
-    leaves.sort_unstable();
-    put_usize(buf, leaves.len());
-    for v in leaves {
-        put_u32(buf, v);
     }
 }
 

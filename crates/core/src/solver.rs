@@ -32,7 +32,7 @@ use ssd_automata::{AutomataCache, LabelAtom, Nfa};
 use ssd_base::budget::{Budget, BudgetResult, Exhausted, Meter};
 use ssd_base::{LabelId, TypeIdx, VarId};
 use ssd_obs::{names, Recorder};
-use ssd_query::{EdgeExpr, PatDef, Query, QueryClass, VarKind};
+use ssd_query::{EdgeExpr, PatDef, Query, VarKind};
 use ssd_schema::{Schema, TypeDef, TypeGraph};
 
 use crate::feas::Constraints;
@@ -68,11 +68,10 @@ pub fn solve_with_in_b(
     budget: &Budget,
 ) -> BudgetResult<SolveResult> {
     let tg = sess.type_graph(s);
-    let class = QueryClass::of(q);
     let mut ctx = Ctx::new(q, s, &tg, c, sess.automata(), sess.recorder(), budget);
 
     // Domains for join variables.
-    let join_vars: Vec<VarId> = class.join_vars.clone();
+    let join_vars: Vec<VarId> = q.class().join_vars.clone();
     let mut domains: Vec<Vec<JoinChoice>> = Vec::with_capacity(join_vars.len());
     for &v in &join_vars {
         let dom = ctx.join_domain(v);
@@ -209,7 +208,7 @@ impl<'a> Ctx<'a> {
                     .collect()
             })
             .collect();
-        let join_set = QueryClass::of(q).join_vars.into_iter().collect();
+        let join_set = q.class().join_vars.iter().copied().collect();
         Ctx {
             q,
             s,

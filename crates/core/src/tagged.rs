@@ -14,9 +14,8 @@ use std::collections::HashMap;
 use ssd_automata::LabelAtom;
 use ssd_base::{Error, Result, TypeIdx, VarId};
 use ssd_query::classify::constant_label_suffix;
-use ssd_query::{EdgeExpr, Query, QueryClass, VarKind};
-use ssd_schema::classify::tag_map;
-use ssd_schema::{Schema, SchemaClass, TypeGraph};
+use ssd_query::{EdgeExpr, Query, VarKind};
+use ssd_schema::{Schema, TypeGraph};
 
 use crate::feas::Constraints;
 use crate::typecheck::{total_check_ordered, TypeAssignment};
@@ -32,19 +31,18 @@ pub fn satisfiable_tagged_in(
     c: &Constraints,
     sess: &crate::Session,
 ) -> Result<bool> {
-    let sclass = SchemaClass::of(s);
+    let sclass = s.class();
     if !(sclass.ordered && sclass.tagged) {
         return Err(Error::unsupported(
             "the tagged algorithm needs an ordered, tagged schema (DTD+)",
         ));
     }
-    let qclass = QueryClass::of(q);
-    if !qclass.constant_suffix {
+    if !q.class().constant_suffix {
         return Err(Error::unsupported(
             "the tagged algorithm needs a constant-suffix query",
         ));
     }
-    let tags = tag_map(s).expect("tagged schema has a tag map");
+    let tags = s.tags().expect("tagged schema has a tag map");
 
     // Force the assignment: root variable gets the root type; every entry
     // target gets the type tagged by its path's suffix label.

@@ -23,8 +23,8 @@ use std::collections::HashMap;
 
 use ssd_base::budget::{Budget, Verdict};
 use ssd_base::{Error, LabelId, Result, TypeIdx, VarId};
-use ssd_query::{Query, QueryClass, VarKind};
-use ssd_schema::{Schema, SchemaClass, TypeGraph};
+use ssd_query::{Query, VarKind};
+use ssd_schema::{Schema, TypeGraph};
 
 use crate::dispatch::{satisfiable_with_in_b, SatOutcome};
 use crate::feas::Constraints;
@@ -106,8 +106,7 @@ pub fn total_type_check_in_b(
         }
     }
 
-    let sclass = SchemaClass::of(s);
-    if !sclass.is_ordered_plus_homogeneous() {
+    if !s.class().is_ordered_plus_homogeneous() {
         // NP in general: run the complete search with everything pinned.
         let c = a.to_constraints();
         return Ok(solver::solve_with_in_b(q, s, &c, sess, budget)
@@ -136,10 +135,9 @@ pub(crate) fn total_check_ordered(
     }
     // Multiply-referenced variables need referenceable types (exact for
     // ordered schemas: distinct first edges prevent path sharing).
-    let class = QueryClass::of(q);
     // (Value and label joins are consistent by construction — one pinned
     // value/label per variable — so only node joins are checked.)
-    for &jv in &class.join_vars {
+    for &jv in &q.class().join_vars {
         if let VarKind::Node { .. } = q.kind(jv) {
             let Some(&t) = a.types.get(&jv) else {
                 return false;

@@ -26,8 +26,8 @@ use ssd_core::feas::Constraints;
 use ssd_core::marker::TraceAtom;
 use ssd_core::ptraces::def_trace_automaton;
 use ssd_core::Session;
-use ssd_query::{EdgeExpr, PatDef, PatEdge, Query, QueryClass};
-use ssd_schema::{Schema, SchemaClass};
+use ssd_query::{EdgeExpr, PatDef, PatEdge, Query};
+use ssd_schema::Schema;
 
 /// Computes the feedback query of `q` against `s` (Proposition 4.1).
 ///
@@ -37,14 +37,12 @@ use ssd_schema::{Schema, SchemaClass};
 /// "straightforward" multi-definition extension). The type graph and every
 /// feasibility analysis come from (and are recorded in) `sess`.
 pub fn feedback_query(q: &Query, s: &Schema, sess: &Session) -> Result<Query> {
-    let qclass = QueryClass::of(q);
-    if !qclass.join_free() {
+    if !q.class().join_free() {
         return Err(Error::unsupported(
             "feedback queries need join-free queries",
         ));
     }
-    let sclass = SchemaClass::of(s);
-    if !sclass.ordered {
+    if !s.class().ordered {
         return Err(Error::unsupported("feedback queries need ordered schemas"));
     }
     let tg = sess.type_graph(s);

@@ -25,8 +25,8 @@ use ssd_base::{LabelId, Result, Span};
 use ssd_core::dispatch::satisfiable_with_in_b;
 use ssd_core::{ptraces, witness, Constraints, Session, TraceAtom};
 use ssd_obs::names;
-use ssd_query::{EdgeExpr, PatDef, PatEdge, Query, QueryClass};
-use ssd_schema::{Schema, SchemaClass, TypeGraph};
+use ssd_query::{EdgeExpr, PatDef, PatEdge, Query};
+use ssd_schema::{Schema, TypeGraph};
 
 use crate::diagnostic::{Code, Diagnostic, LintReport, Severity};
 
@@ -244,8 +244,7 @@ fn redundant_constraints(
     budget: &Budget,
     out: &mut Vec<Diagnostic>,
 ) -> Result<()> {
-    let use_feas =
-        QueryClass::of(q).join_free() && SchemaClass::of(s).is_ordered_plus_homogeneous();
+    let use_feas = q.class().join_free() && s.class().is_ordered_plus_homogeneous();
     let base_sat = if use_feas {
         None
     } else {

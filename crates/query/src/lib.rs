@@ -6,12 +6,14 @@
 #![deny(missing_docs)]
 
 pub mod binding;
+pub mod canonical;
 pub mod classify;
 pub mod eval;
 pub mod parser;
 pub mod pattern;
 
 pub use binding::{Binding, Bound};
+pub use canonical::CanonicalQuery;
 pub use classify::QueryClass;
 pub use eval::{evaluate, is_nonempty, select_results};
 pub use parser::parse_query;

@@ -15,8 +15,12 @@ use std::sync::Arc;
 
 use ssd_automata::display::regex_to_string;
 use ssd_automata::{LabelAtom, Regex};
+use ssd_base::sync::OnceLock;
 use ssd_base::{SharedInterner, Span, VarId};
 use ssd_model::Value;
+
+use crate::canonical::CanonicalQuery;
+use crate::classify::QueryClass;
 
 /// The kind of a variable, inferred from its syntactic positions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -124,6 +128,14 @@ impl QuerySpans {
     }
 }
 
+/// Facts derived from a query's immutable AST, computed together on
+/// first use: the Table-2 class and the canonical memo-key encoding.
+#[derive(Debug)]
+struct Derived {
+    class: QueryClass,
+    canonical: CanonicalQuery,
+}
+
 /// A selection query.
 #[derive(Clone, Debug)]
 pub struct Query {
@@ -140,6 +152,10 @@ pub struct Query {
     /// Deliberately not part of any equality or memoization key: spans
     /// never affect semantics.
     spans: Option<Arc<QuerySpans>>,
+    /// The derived facts, filled on first use and shared by clones. The
+    /// AST never changes after construction, so they never go stale;
+    /// [`Query::with_def_replaced`] builds a new AST and starts empty.
+    derived: OnceLock<Arc<Derived>>,
 }
 
 impl Query {
@@ -168,6 +184,7 @@ impl Query {
             select,
             by_name,
             spans: None,
+            derived: OnceLock::new(),
         }
     }
 
@@ -252,12 +269,36 @@ impl Query {
             .sum()
     }
 
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| {
+            Arc::new(Derived {
+                class: QueryClass::of(self),
+                canonical: CanonicalQuery::of(self),
+            })
+        })
+    }
+
+    /// The query's Table-2 classification ([`QueryClass::of`]), computed
+    /// once per query.
+    pub fn class(&self) -> &QueryClass {
+        &self.derived().class
+    }
+
+    /// The query's canonical structural encoding (the memo-key prefix),
+    /// computed once per query.
+    pub fn canonical(&self) -> &CanonicalQuery {
+        &self.derived().canonical
+    }
+
     /// Rewrites the definition at index `i` (used by feedback queries).
     /// Spans are dropped: they would no longer describe the rewritten AST.
+    /// So are the derived facts: the rewrite may change the class and
+    /// the key.
     pub fn with_def_replaced(&self, i: usize, def: PatDef) -> Query {
         let mut q = self.clone();
         q.defs[i].1 = def;
         q.spans = None;
+        q.derived = OnceLock::new();
         q
     }
 }

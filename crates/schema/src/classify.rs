@@ -7,6 +7,10 @@
 //!   schema}` is one-to-one.
 //! * **Tree** schemas: no referenceable types.
 //! * `DTD−` = ordered ∧ tagged ∧ tree; `DTD+` = ordered ∧ tagged.
+//!
+//! Schemas are immutable once built, so [`Schema::class`] and
+//! [`Schema::tags`] derive both facts in one pass, once per schema;
+//! [`SchemaClass::of`] re-derives the class from scratch.
 
 use std::collections::HashMap;
 
@@ -30,52 +34,10 @@ pub struct SchemaClass {
 }
 
 impl SchemaClass {
-    /// Classifies `schema`.
+    /// Classifies `schema` from scratch (engines read the cached
+    /// [`Schema::class`] instead).
     pub fn of(schema: &Schema) -> SchemaClass {
-        let mut ordered = true;
-        let mut homogeneous_unordered = true;
-        for t in schema.types() {
-            if let TypeDef::Unordered(r) = schema.def(t) {
-                ordered = false;
-                if homogeneous_symbol(r).is_none() {
-                    homogeneous_unordered = false;
-                }
-            }
-        }
-
-        // Tagging: collect the (label, target) pairs occurring anywhere.
-        let mut label_to_type: HashMap<LabelId, TypeIdx> = HashMap::new();
-        let mut type_to_label: HashMap<TypeIdx, LabelId> = HashMap::new();
-        let mut tagged = true;
-        'outer: for t in schema.types() {
-            if let Some(r) = schema.def(t).regex() {
-                for a in r.atoms() {
-                    if let Some(&t2) = label_to_type.get(&a.label) {
-                        if t2 != a.target {
-                            tagged = false;
-                            break 'outer;
-                        }
-                    }
-                    if let Some(&l2) = type_to_label.get(&a.target) {
-                        if l2 != a.label {
-                            tagged = false;
-                            break 'outer;
-                        }
-                    }
-                    label_to_type.insert(a.label, a.target);
-                    type_to_label.insert(a.target, a.label);
-                }
-            }
-        }
-
-        let tree = schema.types().all(|t| !schema.is_referenceable(t));
-
-        SchemaClass {
-            ordered,
-            homogeneous_unordered,
-            tagged,
-            tree,
-        }
+        classify(schema).0
     }
 
     /// Ordered, or unordered only via homogeneous collections — the schema
@@ -95,21 +57,59 @@ impl SchemaClass {
     }
 }
 
-/// The tag map of a tagged schema: for each label, the unique type it
-/// points to. `None` if the schema is not tagged.
-pub fn tag_map(schema: &Schema) -> Option<HashMap<LabelId, TypeIdx>> {
-    if !SchemaClass::of(schema).tagged {
-        return None;
-    }
-    let mut map = HashMap::new();
+/// A tagged schema's tag map: for each label, the unique type it points
+/// to.
+pub(crate) type TagMap = HashMap<LabelId, TypeIdx>;
+
+/// Derives the class and, for a tagged schema, the tag map, in one pass:
+/// the tagging check collects the label→type pairs anyway, and when no
+/// pair conflicts they are exactly the tag map.
+pub(crate) fn classify(schema: &Schema) -> (SchemaClass, Option<TagMap>) {
+    let mut ordered = true;
+    let mut homogeneous_unordered = true;
     for t in schema.types() {
-        if let Some(r) = schema.def(t).regex() {
-            for a in r.atoms() {
-                map.insert(a.label, a.target);
+        if let TypeDef::Unordered(r) = schema.def(t) {
+            ordered = false;
+            if homogeneous_symbol(r).is_none() {
+                homogeneous_unordered = false;
             }
         }
     }
-    Some(map)
+
+    // Tagging: collect the (label, target) pairs occurring anywhere.
+    let mut label_to_type: TagMap = HashMap::new();
+    let mut type_to_label: HashMap<TypeIdx, LabelId> = HashMap::new();
+    let mut tagged = true;
+    'outer: for t in schema.types() {
+        if let Some(r) = schema.def(t).regex() {
+            for a in r.atoms() {
+                if let Some(&t2) = label_to_type.get(&a.label) {
+                    if t2 != a.target {
+                        tagged = false;
+                        break 'outer;
+                    }
+                }
+                if let Some(&l2) = type_to_label.get(&a.target) {
+                    if l2 != a.label {
+                        tagged = false;
+                        break 'outer;
+                    }
+                }
+                label_to_type.insert(a.label, a.target);
+                type_to_label.insert(a.target, a.label);
+            }
+        }
+    }
+
+    let tree = schema.types().all(|t| !schema.is_referenceable(t));
+
+    let class = SchemaClass {
+        ordered,
+        homogeneous_unordered,
+        tagged,
+        tree,
+    };
+    (class, tagged.then_some(label_to_type))
 }
 
 #[cfg(test)]
@@ -176,10 +176,10 @@ mod tests {
     fn tag_map_for_tagged_schema() {
         let pool = SharedInterner::new();
         let s = parse_schema("T = [a->U.b->V]; U = int; V = string", &pool).unwrap();
-        let map = tag_map(&s).unwrap();
+        let map = s.tags().unwrap();
         assert_eq!(map[&pool.get("a").unwrap()], s.by_name("U").unwrap());
         assert_eq!(map[&pool.get("b").unwrap()], s.by_name("V").unwrap());
         let s2 = parse_schema("T = [a->U.a->V]; U = int; V = string", &pool).unwrap();
-        assert!(tag_map(&s2).is_none());
+        assert!(s2.tags().is_none());
     }
 }

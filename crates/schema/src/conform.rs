@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 use ssd_automata::bag::{bag_matches, homogeneous_symbol};
 use ssd_base::{Multiset, OidId, TypeIdx};
 
-use crate::classify::tag_map;
 use crate::schema::Schema;
 use crate::types::{SchemaAtom, TypeDef};
 use ssd_model::{DataGraph, Node};
@@ -109,7 +108,7 @@ pub fn conforms_interpreted(g: &DataGraph, s: &Schema) -> Option<Vec<TypeIdx>> {
 
 fn conforms_with(g: &DataGraph, s: &Schema, compiled: bool) -> Option<Vec<TypeIdx>> {
     // Fast path: tagged schemas force the assignment.
-    if let Some(tags) = tag_map(s) {
+    if let Some(tags) = s.tags() {
         let mut assignment = vec![None; g.len()];
         assignment[g.root().index()] = Some(s.root());
         let mut queue = VecDeque::from([g.root()]);

@@ -9,9 +9,17 @@ use ssd_automata::display::regex_to_string;
 use ssd_automata::glushkov;
 use ssd_automata::{dfa, Nfa};
 use ssd_base::span::format_location;
-use ssd_base::{Budget, Error, Result, SharedInterner, Span, TypeIdx};
+use ssd_base::{Budget, Error, LabelId, Result, SharedInterner, Span, TypeIdx};
 
+use crate::classify::{self, SchemaClass, TagMap};
 use crate::types::{SchemaAtom, TypeDef, TypeKind};
+
+/// Facts derived from a schema's immutable definitions, computed together
+/// on first use: the Table-2 class and, if tagged, the tag map.
+struct Derived {
+    class: SchemaClass,
+    tags: Option<TagMap>,
+}
 
 /// Source locations for a parsed [`Schema`], kept as a side table so the
 /// schema itself stays programmatically constructible (built schemas
@@ -62,6 +70,9 @@ pub struct Schema {
     /// Source spans, when the schema came from text. Never part of any
     /// equality or memoization key: spans do not affect semantics.
     spans: Option<Arc<SchemaSpans>>,
+    /// The derived facts, filled on first use and shared by clones
+    /// (sound for the same reason as the uid: the content never changes).
+    derived: OnceLock<Arc<Derived>>,
 }
 
 impl Schema {
@@ -127,6 +138,26 @@ impl Schema {
                 Some(Arc::new(compiled::compile(&d)))
             })
             .as_ref()
+    }
+
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| {
+            let (class, tags) = classify::classify(self);
+            Arc::new(Derived { class, tags })
+        })
+    }
+
+    /// The schema's Table-2 classification ([`SchemaClass::of`]),
+    /// computed once per schema.
+    pub fn class(&self) -> &SchemaClass {
+        &self.derived().class
+    }
+
+    /// The tag map of a tagged schema — for each label, the unique type it
+    /// points to — or `None` if the schema is not tagged. Computed once
+    /// per schema, together with [`Schema::class`].
+    pub fn tags(&self) -> Option<&HashMap<LabelId, TypeIdx>> {
+        self.derived().tags.as_ref()
     }
 
     /// Whether `t` is referenceable (`&`-prefixed name).
@@ -417,6 +448,7 @@ impl SchemaBuilder {
             root: TypeIdx(0),
             uid: NEXT_UID.fetch_add(1, ssd_base::sync::Ordering::Relaxed),
             spans,
+            derived: OnceLock::new(),
         })
     }
 }

@@ -9,7 +9,7 @@ use ssd::core::Session;
 use ssd::gen::corpora::{bibliography, PAPER_QUERY, PAPER_SCHEMA, SINGLE_AUTHOR_SCHEMA};
 use ssd::model::{parse_data_graph, parse_xml};
 use ssd::query::{is_nonempty, parse_query};
-use ssd::schema::{conforms, parse_dtd, parse_schema, SchemaClass};
+use ssd::schema::{conforms, parse_dtd, parse_schema};
 
 fn main() {
     let pool = SharedInterner::new();
@@ -26,7 +26,7 @@ fn main() {
         &pool,
     )
     .expect("DTD parses");
-    let class = SchemaClass::of(&dtd_schema);
+    let class = dtd_schema.class();
     println!(
         "DTD class: ordered={} tagged={} tree={} (DTD− = {})",
         class.ordered,
