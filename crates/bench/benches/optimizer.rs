@@ -2,6 +2,9 @@
 //! (Theorem 4.2 + the §4.2 pruning examples). Criterion times both
 //! evaluators; the `experiments` binary prints the edge-count tables
 //! (the paper's cost function).
+//!
+//! `SSD_BENCH_QUICK=1` cuts the sample count for CI smoke runs; the rows
+//! and labels stay the same.
 
 use ssd_base::rng::StdRng;
 use ssd_base::SharedInterner;
@@ -14,6 +17,14 @@ use ssd_optimizer::{evaluate_adaptive, evaluate_naive, CostedGraph, RootQuery};
 use ssd_query::parse_query;
 use ssd_schema::{parse_schema, TypeGraph};
 
+fn sample_size() -> usize {
+    if std::env::var_os("SSD_BENCH_QUICK").is_some() {
+        5
+    } else {
+        20
+    }
+}
+
 fn bibliography_scan(c: &mut Criterion) {
     let pool = SharedInterner::new();
     let s = parse_schema(PAPER_SCHEMA, &pool).unwrap();
@@ -22,7 +33,7 @@ fn bibliography_scan(c: &mut Criterion) {
     let rq = RootQuery::compile(&q).unwrap();
 
     let mut g = c.benchmark_group("t42/bibliography_titles");
-    g.sample_size(20);
+    g.sample_size(sample_size());
     for papers in [10usize, 40, 160] {
         let data = parse_data_graph(&bibliography(papers, 3), &pool).unwrap();
         g.bench_with_input(BenchmarkId::new("naive", papers), &papers, |b, _| {
@@ -59,7 +70,7 @@ fn random_dtdish(c: &mut Criterion) {
     )
     .unwrap();
     let mut g = c.benchmark_group("t42/wildcard_scan");
-    g.sample_size(20);
+    g.sample_size(sample_size());
     g.bench_function("naive", |b| {
         b.iter(|| {
             let cg = CostedGraph::new(&data);

@@ -1,10 +1,8 @@
 //! Incremental construction of data graphs.
 
-use std::collections::HashMap;
-
 use ssd_base::{Error, OidId, Result, SharedInterner};
 
-use crate::graph::DataGraph;
+use crate::graph::{DataGraph, Names};
 use crate::node::{Edge, Node};
 use crate::validate::validate;
 use crate::value::Value;
@@ -14,10 +12,9 @@ use crate::value::Value;
 /// shape supports the forward references of the textual syntax.
 pub struct GraphBuilder {
     pool: SharedInterner,
-    names: Vec<String>,
+    names: Names,
     referenceable: Vec<bool>,
     nodes: Vec<Option<Node>>,
-    by_name: HashMap<String, OidId>,
     fresh: u64,
 }
 
@@ -26,10 +23,9 @@ impl GraphBuilder {
     pub fn new(pool: SharedInterner) -> Self {
         GraphBuilder {
             pool,
-            names: Vec::new(),
+            names: Names::default(),
             referenceable: Vec::new(),
             nodes: Vec::new(),
-            by_name: HashMap::new(),
             fresh: 0,
         }
     }
@@ -44,18 +40,15 @@ impl GraphBuilder {
     /// `referenceable`. Re-declaring upgrades referenceability (a name seen
     /// first as `o5` and later as `&o5` denotes one referenceable object).
     pub fn declare(&mut self, name: &str, referenceable: bool) -> OidId {
-        if let Some(&oid) = self.by_name.get(name) {
+        if let Some(oid) = self.names.get(name) {
             if referenceable {
                 self.referenceable[oid.index()] = true;
             }
             return oid;
         }
-        let oid = OidId::from_usize(self.names.len());
-        self.names.push(name.to_owned());
         self.referenceable.push(referenceable);
         self.nodes.push(None);
-        self.by_name.insert(name.to_owned(), oid);
-        oid
+        self.names.push(name)
     }
 
     /// Declares a fresh, uniquely named object.
@@ -63,7 +56,7 @@ impl GraphBuilder {
         loop {
             let name = format!("g{}", self.fresh);
             self.fresh += 1;
-            if !self.by_name.contains_key(&name) {
+            if self.names.get(&name).is_none() {
                 return self.declare(&name, referenceable);
             }
         }
@@ -74,7 +67,7 @@ impl GraphBuilder {
         if slot.is_some() {
             return Err(Error::invalid(format!(
                 "object {} defined twice",
-                self.names[oid.index()]
+                self.names.name(oid)
             )));
         }
         *slot = Some(node);
@@ -114,7 +107,7 @@ impl GraphBuilder {
                 None => {
                     return Err(Error::undefined(format!(
                         "object {} is referenced but never defined",
-                        self.names[i]
+                        self.names.name(OidId::from_usize(i))
                     )))
                 }
             }
@@ -173,7 +166,7 @@ mod tests {
         let mut b = GraphBuilder::new(pool);
         b.declare("g0", false);
         let f = b.declare_fresh(false);
-        assert_ne!(b.names[f.index()], "g0");
+        assert_ne!(b.names.name(f), "g0");
     }
 
     #[test]

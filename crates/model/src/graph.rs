@@ -2,10 +2,46 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use ssd_base::{LabelId, OidId, SharedInterner};
 
 use crate::node::{Edge, Node, NodeKind};
+
+/// Object names in oid order with their reverse index. Each name is
+/// stored once and shared by both directions; the builder fills it while
+/// parsing and the finished graph keeps it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Names {
+    names: Vec<Arc<str>>,
+    by_name: HashMap<Arc<str>, OidId>,
+}
+
+impl Names {
+    /// The oid named `name`, if declared.
+    pub(crate) fn get(&self, name: &str) -> Option<OidId> {
+        self.by_name.get(name).copied()
+    }
+
+    /// Declares `name` (not yet present) as the next oid.
+    pub(crate) fn push(&mut self, name: &str) -> OidId {
+        let oid = OidId::from_usize(self.names.len());
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, oid);
+        oid
+    }
+
+    /// The name of `oid`.
+    pub(crate) fn name(&self, oid: OidId) -> &str {
+        &self.names[oid.index()]
+    }
+
+    /// Whether no name is declared.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+}
 
 /// A data graph (Section 2 of the paper): objects with names, a
 /// referenceable flag per object, and a distinguished root from which every
@@ -13,32 +49,25 @@ use crate::node::{Edge, Node, NodeKind};
 #[derive(Clone, Debug)]
 pub struct DataGraph {
     pool: SharedInterner,
-    names: Vec<String>,
+    names: Names,
     referenceable: Vec<bool>,
     nodes: Vec<Node>,
-    by_name: HashMap<String, OidId>,
     root: OidId,
 }
 
 impl DataGraph {
     pub(crate) fn from_parts(
         pool: SharedInterner,
-        names: Vec<String>,
+        names: Names,
         referenceable: Vec<bool>,
         nodes: Vec<Node>,
         root: OidId,
     ) -> Self {
-        let by_name = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), OidId::from_usize(i)))
-            .collect();
         DataGraph {
             pool,
             names,
             referenceable,
             nodes,
-            by_name,
             root,
         }
     }
@@ -90,12 +119,12 @@ impl DataGraph {
 
     /// The object's source name (without the `&` prefix).
     pub fn name(&self, oid: OidId) -> &str {
-        &self.names[oid.index()]
+        self.names.name(oid)
     }
 
     /// Looks up an object by source name.
     pub fn by_name(&self, name: &str) -> Option<OidId> {
-        self.by_name.get(name).copied()
+        self.names.get(name)
     }
 
     /// All oids, in definition order.
@@ -129,7 +158,7 @@ impl fmt::Display for DataGraph {
                 writeln!(f, ";")?;
             }
             let amp = if self.referenceable[i] { "&" } else { "" };
-            write!(f, "{amp}{} = ", self.names[i])?;
+            write!(f, "{amp}{} = ", self.names.name(OidId::from_usize(i)))?;
             match node {
                 Node::Atomic(v) => write!(f, "{v}")?,
                 Node::Unordered(es) | Node::Ordered(es) => {
@@ -149,7 +178,7 @@ impl fmt::Display for DataGraph {
                             f,
                             "{} -> {tamp}{}",
                             self.pool.resolve(e.label),
-                            self.names[tgt]
+                            self.names.name(e.target)
                         )?;
                     }
                     write!(f, "{close}")?;

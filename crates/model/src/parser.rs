@@ -10,9 +10,10 @@
 //! integers, floats, `"strings"`, and booleans. The first definition is the
 //! root. `→` is accepted as a synonym for `->`.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use ssd_base::{limits, Error, Result, SharedInterner};
+use ssd_base::{limits, Error, LabelId, Result, SharedInterner};
 
 use crate::builder::GraphBuilder;
 use crate::graph::DataGraph;
@@ -25,20 +26,28 @@ use crate::value::Value;
 /// [`limits::MAX_INPUT_LEN`] bytes are rejected with [`Error::Limit`].
 /// The grammar itself is non-recursive (edge lists are flat), so no
 /// nesting-depth guard is needed.
+///
+/// Identifiers are borrowed from `input`, and each distinct label is
+/// interned once per parse, so the shared pool's lock is taken once per
+/// label rather than once per edge.
 pub fn parse_data_graph(input: &str, pool: &SharedInterner) -> Result<DataGraph> {
     limits::check_input_len("data graph", input.len())?;
     let mut p = Lexer::new(input);
     let mut b = GraphBuilder::new(pool.clone());
+    let mut labels = Labels {
+        pool,
+        ids: HashMap::new(),
+    };
     let mut any = false;
     loop {
         p.skip_ws();
         if p.at_end() {
             break;
         }
-        parse_def(&mut p, &mut b, pool)?;
+        parse_def(&mut p, &mut b, &mut labels)?;
         any = true;
         p.skip_ws();
-        if p.eat(';') {
+        if p.eat(b';') {
             continue;
         }
         if !p.at_end() {
@@ -51,18 +60,32 @@ pub fn parse_data_graph(input: &str, pool: &SharedInterner) -> Result<DataGraph>
     b.finish()
 }
 
-fn parse_def(p: &mut Lexer<'_>, b: &mut GraphBuilder, pool: &SharedInterner) -> Result<()> {
+/// The labels seen so far in one parse, in front of the shared pool.
+struct Labels<'a> {
+    pool: &'a SharedInterner,
+    ids: HashMap<&'a str, LabelId>,
+}
+
+impl<'a> Labels<'a> {
+    fn intern(&mut self, label: &'a str) -> LabelId {
+        *self
+            .ids
+            .entry(label)
+            .or_insert_with(|| self.pool.intern(label))
+    }
+}
+
+fn parse_def<'a>(p: &mut Lexer<'a>, b: &mut GraphBuilder, labels: &mut Labels<'a>) -> Result<()> {
     let (name, referenceable) = p.oid_ref()?;
-    let oid = b.declare(&name, referenceable);
-    p.expect('=')?;
-    p.skip_ws();
+    let oid = b.declare(name, referenceable);
+    p.expect(b'=')?;
     match p.peek() {
-        Some('{') => {
-            let edges = parse_edges(p, b, pool, '{', '}')?;
+        Some(b'{') => {
+            let edges = parse_edges(p, b, labels, b'{', b'}')?;
             b.define_unordered(oid, edges)
         }
-        Some('[') => {
-            let edges = parse_edges(p, b, pool, '[', ']')?;
+        Some(b'[') => {
+            let edges = parse_edges(p, b, labels, b'[', b']')?;
             b.define_ordered(oid, edges)
         }
         _ => {
@@ -72,16 +95,15 @@ fn parse_def(p: &mut Lexer<'_>, b: &mut GraphBuilder, pool: &SharedInterner) -> 
     }
 }
 
-fn parse_edges(
-    p: &mut Lexer<'_>,
+fn parse_edges<'a>(
+    p: &mut Lexer<'a>,
     b: &mut GraphBuilder,
-    pool: &SharedInterner,
-    open: char,
-    close: char,
+    labels: &mut Labels<'a>,
+    open: u8,
+    close: u8,
 ) -> Result<Vec<Edge>> {
     p.expect(open)?;
     let mut edges = Vec::new();
-    p.skip_ws();
     if p.eat(close) {
         return Ok(edges);
     }
@@ -89,10 +111,9 @@ fn parse_edges(
         let label = p.ident()?;
         p.arrow()?;
         let (name, referenceable) = p.oid_ref()?;
-        let target = b.declare(&name, referenceable);
-        edges.push(Edge::new(pool.intern(&label), target));
-        p.skip_ws();
-        if p.eat(',') {
+        let target = b.declare(name, referenceable);
+        edges.push(Edge::new(labels.intern(label), target));
+        if p.eat(b',') {
             continue;
         }
         p.expect(close)?;
@@ -101,6 +122,9 @@ fn parse_edges(
     Ok(edges)
 }
 
+/// A cursor over the input. Every token the grammar needs is ASCII, so
+/// the lexer works on bytes and decodes a `char` only at a non-ASCII byte
+/// (Unicode whitespace, letters in identifiers, the `→` arrow).
 struct Lexer<'a> {
     input: &'a str,
     pos: usize,
@@ -113,6 +137,10 @@ impl<'a> Lexer<'a> {
 
     fn rest(&self) -> &'a str {
         &self.input[self.pos..]
+    }
+
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.input.as_bytes().get(at).copied()
     }
 
     /// A parse error located at the current position.
@@ -129,31 +157,43 @@ impl<'a> Lexer<'a> {
         self.pos >= self.input.len()
     }
 
+    /// Skips whitespace as `str::trim_start` defines it.
     fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.input.len() - trimmed.len();
+        while let Some(b) = self.byte(self.pos) {
+            match b {
+                b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c => self.pos += 1,
+                0x80.. => {
+                    self.pos = self.input.len() - self.rest().trim_start().len();
+                    return;
+                }
+                _ => return,
+            }
+        }
     }
 
-    fn peek(&mut self) -> Option<char> {
+    /// The next non-whitespace byte, not consumed.
+    fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.rest().chars().next()
+        self.byte(self.pos)
     }
 
-    fn eat(&mut self, c: char) -> bool {
+    /// Consumes the ASCII byte `c` if it comes next.
+    fn eat(&mut self, c: u8) -> bool {
         if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
+            self.pos += 1;
             true
         } else {
             false
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<()> {
+    fn expect(&mut self, c: u8) -> Result<()> {
         if self.eat(c) {
             Ok(())
         } else {
             Err(self.err(format!(
-                "expected '{c}' near {:?}",
+                "expected '{}' near {:?}",
+                char::from(c),
                 self.rest().chars().take(12).collect::<String>()
             )))
         }
@@ -172,74 +212,70 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> Result<&'a str> {
         self.skip_ws();
         let start = self.pos;
-        for c in self.rest().chars() {
-            if c.is_alphanumeric() || c == '-' || c == ':' || c == '_' {
+        while let Some(b) = self.byte(self.pos) {
+            match b {
+                b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b':' | b'_' => self.pos += 1,
                 // '-' only after the first char, and never as part of '->'.
-                if c == '-' {
-                    let after = &self.input[self.pos + 1..];
-                    if self.pos == start || after.starts_with('>') {
-                        break;
-                    }
-                }
-                self.pos += c.len_utf8();
-            } else {
-                break;
+                b'-' if self.pos != start && self.byte(self.pos + 1) != Some(b'>') => self.pos += 1,
+                0x80.. => match self.rest().chars().next() {
+                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
+                    _ => break,
+                },
+                _ => break,
             }
         }
         if self.pos == start {
             return Err(self.err_at("expected identifier", start));
         }
-        Ok(self.input[start..self.pos].to_owned())
+        Ok(&self.input[start..self.pos])
     }
 
-    fn oid_ref(&mut self) -> Result<(String, bool)> {
-        self.skip_ws();
-        let referenceable = self.eat('&');
+    fn oid_ref(&mut self) -> Result<(&'a str, bool)> {
+        let referenceable = self.eat(b'&');
         let name = self.ident()?;
         Ok((name, referenceable))
     }
 
     fn value(&mut self) -> Result<Value> {
-        self.skip_ws();
         match self.peek() {
-            Some('"') => {
+            Some(b'"') => {
+                // Copies each run between escapes as one slice; a literal
+                // without escapes is a single copy.
                 let open = self.pos;
-                self.pos += 1;
                 let mut s = String::new();
-                let mut chars = self.rest().char_indices();
+                let mut at = open + 1;
                 loop {
-                    match chars.next() {
-                        Some((i, '"')) => {
-                            self.pos += i + 1;
-                            return Ok(Value::Str(s));
-                        }
-                        Some((_, '\\')) => match chars.next() {
-                            Some((_, c)) => s.push(c),
-                            None => break,
-                        },
-                        Some((_, c)) => s.push(c),
-                        None => break,
+                    let rest = &self.input[at..];
+                    let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
+                        break;
+                    };
+                    s.push_str(&rest[..i]);
+                    if rest.as_bytes()[i] == b'"' {
+                        self.pos = at + i + 1;
+                        return Ok(Value::Str(s));
                     }
+                    let Some(c) = rest[i + 1..].chars().next() else {
+                        break;
+                    };
+                    s.push(c);
+                    at += i + 1 + c.len_utf8();
                 }
                 Err(self.err_at("unterminated string literal", open))
             }
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
+            Some(c) if c.is_ascii_digit() || c == b'-' || c == b'+' => {
                 let start = self.pos;
                 let mut is_float = false;
-                let mut first = true;
-                for ch in self.rest().chars() {
-                    if ch.is_ascii_digit() || (first && (ch == '-' || ch == '+')) {
-                        self.pos += ch.len_utf8();
-                    } else if ch == '.' || ch == 'e' || ch == 'E' {
-                        is_float = true;
-                        self.pos += ch.len_utf8();
-                    } else {
-                        break;
+                while let Some(b) = self.byte(self.pos) {
+                    match b {
+                        b'0'..=b'9' => {}
+                        b'-' | b'+' if self.pos == start => {}
+                        b'.' | b'e' | b'E' => is_float = true,
+                        _ => break,
                     }
-                    first = false;
+                    self.pos += 1;
                 }
                 let text = &self.input[start..self.pos];
                 if is_float {
@@ -254,11 +290,10 @@ impl<'a> Lexer<'a> {
             }
             _ => {
                 let start = self.pos;
-                let word = self.ident()?;
-                match word.as_str() {
+                match self.ident()? {
                     "true" => Ok(Value::Bool(true)),
                     "false" => Ok(Value::Bool(false)),
-                    _ => Err(self.err_at(format!("expected a value, found {word:?}"), start)),
+                    word => Err(self.err_at(format!("expected a value, found {word:?}"), start)),
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! subtrees. The traces-style product of segment automata with the type
 //! graph supplies the usefulness oracle.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use ssd_automata::syntax::Atom as _;
 use ssd_base::{OidId, TypeIdx};
@@ -33,14 +33,22 @@ pub fn evaluate_adaptive(
     let k = rq.len();
     let mut cands: Candidates = vec![BTreeMap::new(); k];
 
+    // Every segment starts at the root, in its automaton's start state.
+    let root_live: Vec<Live> = rq
+        .nfas
+        .iter()
+        .enumerate()
+        .map(|(i, nfa)| (i, vec![nfa.start()]))
+        .collect();
     // The root node's configurations start at the root type's automaton.
     let root_confs = start_confs(s, tg, s.root());
     let mut walker = Walker {
         cg,
         rq,
         oracle: &oracle,
+        root_live: &root_live,
         cands: &mut cands,
-        visited: HashSet::new(),
+        visited: vec![false; cg.graph().len()],
     };
     walker.scan_node(cg.root(), root_confs, None, 0);
     combine(&cands)
@@ -49,6 +57,9 @@ pub fn evaluate_adaptive(
 /// A consistent configuration of one node: its possible type and the
 /// content-automaton state after the edges consumed so far.
 type Conf = (TypeIdx, usize);
+
+/// A live segment: its index and the path-automaton states reached.
+type Live = (usize, Vec<usize>);
 
 fn start_confs(s: &Schema, tg: &TypeGraph, t: TypeIdx) -> Vec<Conf> {
     match s.def(t) {
@@ -60,21 +71,31 @@ fn start_confs(s: &Schema, tg: &TypeGraph, t: TypeIdx) -> Vec<Conf> {
     }
 }
 
+/// Everything `A_O` consults that depends only on the schema and the
+/// query, computed once per evaluation.
 struct Oracle<'a> {
     s: &'a Schema,
     tg: &'a TypeGraph,
-    /// Per segment: product pairs `(type, path-state)` from which the
-    /// automaton can reach acceptance at an admissible leaf in ≥0 steps.
-    good: Vec<HashSet<(TypeIdx, usize)>>,
-    /// Per segment: pairs from which acceptance needs ≥1 more step (used
-    /// for the descend decision).
-    good_strict: Vec<HashSet<(TypeIdx, usize)>>,
+    /// Per segment: the number of path-automaton states.
+    path_states: Vec<usize>,
+    /// Per segment, indexed `t * path_states + q`: whether acceptance
+    /// needs ≥1 more step from the product pair `(t, q)` and can be
+    /// reached (the descend decision).
+    good_strict: Vec<Vec<bool>>,
+    /// The sideward table. Per segment and type, indexed
+    /// `qc * path_states + q`: whether some symbol the content automaton
+    /// of `t` can read from state `qc` onwards advances the segment from
+    /// path state `q` to acceptance or to a productive pair. `step`
+    /// distributes over unions of states, so a set of live path states is
+    /// useful exactly when one of its members is.
+    useful: Vec<Vec<Vec<bool>>>,
 }
 
 impl<'a> Oracle<'a> {
     fn new(rq: &RootQuery, q: &Query, s: &'a Schema, tg: &'a TypeGraph) -> Oracle<'a> {
-        let mut good = Vec::with_capacity(rq.len());
+        let mut path_states = Vec::with_capacity(rq.len());
         let mut good_strict = Vec::with_capacity(rq.len());
+        let mut useful = Vec::with_capacity(rq.len());
         for (i, nfa) in rq.nfas.iter().enumerate() {
             // Admissible end types for this segment's target variable.
             let target = rq.targets[i];
@@ -84,7 +105,9 @@ impl<'a> Oracle<'a> {
                 Some(PatDef::ValueVar(_)) => s.def(t).atomic().is_some(),
                 Some(_) => false,
             };
-            // Backward closure over the (type-graph × path-NFA) product.
+            // Backward closure over the (type-graph × path-NFA) product:
+            // `good` holds the pairs from which the automaton can reach
+            // acceptance at an admissible leaf in ≥0 steps.
             let mut base: HashSet<(TypeIdx, usize)> = HashSet::new();
             for t in s.types() {
                 if !tg.is_inhabited(t) || !leaf_ok(t) {
@@ -96,8 +119,7 @@ impl<'a> Oracle<'a> {
                     }
                 }
             }
-            let mut rev: std::collections::HashMap<(TypeIdx, usize), Vec<(TypeIdx, usize)>> =
-                std::collections::HashMap::new();
+            let mut rev: HashMap<(TypeIdx, usize), Vec<(TypeIdx, usize)>> = HashMap::new();
             for t1 in s.types() {
                 for atom in tg.step(t1) {
                     for qstate in 0..nfa.num_states() {
@@ -111,14 +133,14 @@ impl<'a> Oracle<'a> {
                     }
                 }
             }
-            let mut reach = base.clone();
+            let mut good = base.clone();
             let mut strict: HashSet<(TypeIdx, usize)> = HashSet::new();
             let mut stack: Vec<(TypeIdx, usize)> = base.iter().copied().collect();
             while let Some(p) = stack.pop() {
                 if let Some(preds) = rev.get(&p) {
                     for &pr in preds {
                         strict.insert(pr);
-                        if reach.insert(pr) {
+                        if good.insert(pr) {
                             stack.push(pr);
                         }
                     }
@@ -136,15 +158,71 @@ impl<'a> Oracle<'a> {
                     }
                 }
             }
-            good.push(reach);
-            good_strict.push(strict);
+
+            let ns = nfa.num_states();
+            let mut strict_dense = vec![false; s.len() * ns];
+            for &(t, qs) in &strict {
+                strict_dense[t.index() * ns + qs] = true;
+            }
+            let per_type = s
+                .types()
+                .map(|t| {
+                    let Some(n) = tg.pruned_nfa(t) else {
+                        return Vec::new();
+                    };
+                    let nc = n.num_states();
+                    // `local[qs * ns + p]`: some edge leaving content state
+                    // `qs` is useful from path state `p`.
+                    let mut local = vec![false; nc * ns];
+                    for qs in 0..nc {
+                        for (a, _) in n.edges(qs) {
+                            for p in 0..ns {
+                                local[qs * ns + p] |= nfa.edges(p).iter().any(|(pa, q2s)| {
+                                    pa.matches(&a.label)
+                                        && (nfa.is_accepting(*q2s)
+                                            || good.contains(&(a.target, *q2s)))
+                                });
+                            }
+                        }
+                    }
+                    // Close over the content states reachable from `qc`.
+                    let mut table = vec![false; nc * ns];
+                    for qc in 0..nc {
+                        let mut seen = vec![false; nc];
+                        let mut stack = vec![qc];
+                        seen[qc] = true;
+                        while let Some(qs) = stack.pop() {
+                            for p in 0..ns {
+                                table[qc * ns + p] |= local[qs * ns + p];
+                            }
+                            for &(_, q2) in n.edges(qs) {
+                                if !seen[q2] {
+                                    seen[q2] = true;
+                                    stack.push(q2);
+                                }
+                            }
+                        }
+                    }
+                    table
+                })
+                .collect();
+            path_states.push(ns);
+            good_strict.push(strict_dense);
+            useful.push(per_type);
         }
         Oracle {
             s,
             tg,
-            good,
+            path_states,
             good_strict,
+            useful,
         }
+    }
+
+    /// Whether segment `seg`, at path state `q`, can make strict progress
+    /// below a node of type `t`.
+    fn strict(&self, seg: usize, t: TypeIdx, q: usize) -> bool {
+        self.good_strict[seg][t.index() * self.path_states[seg] + q]
     }
 }
 
@@ -152,35 +230,34 @@ struct Walker<'a, 'b> {
     cg: &'a CostedGraph<'a>,
     rq: &'a RootQuery,
     oracle: &'a Oracle<'b>,
+    root_live: &'a [Live],
     cands: &'a mut Candidates,
-    visited: HashSet<OidId>,
+    visited: Vec<bool>,
 }
 
 impl<'a, 'b> Walker<'a, 'b> {
     /// Scans `node`'s edges; `live` is `None` at the root (segments start
     /// there) and `Some` below it. Returns the refined set of possible
-    /// types for `node`.
+    /// types for `node`, sorted.
     fn scan_node(
         &mut self,
         node: OidId,
         confs: Vec<Conf>,
-        live: Option<&[(usize, Vec<usize>)]>,
+        live: Option<&[Live]>,
         root_pos_base: usize,
-    ) -> BTreeSet<TypeIdx> {
+    ) -> Vec<TypeIdx> {
         let mut confs = confs;
         // Atomic nodes / no configurations: nothing to scan.
-        if confs.is_empty() {
-            return self.closing_types(&confs, node);
+        if confs.is_empty() || std::mem::replace(&mut self.visited[node.index()], true) {
+            return closing_types(&confs);
         }
-        if !self.visited.insert(node) {
-            return self.closing_types(&confs, node);
-        }
+        let segs = live.unwrap_or(self.root_live);
 
         let mut pos = root_pos_base;
         let mut edge: Option<EdgeRef> = None;
         loop {
             // Sideward pruning: is another (useful) edge possible?
-            if !self.should_scan_more(&confs, live) {
+            if !self.should_scan_more(&confs, segs) {
                 break;
             }
             edge = match edge {
@@ -189,51 +266,41 @@ impl<'a, 'b> Walker<'a, 'b> {
             };
             let Some(e) = edge else { break };
             let label = self.cg.label(e);
+            let child = self.cg.target(e);
+            let rp = if live.is_none() { pos } else { root_pos_base };
 
             // Possible child types under current configurations.
-            let child_types: BTreeSet<TypeIdx> = confs
-                .iter()
-                .flat_map(|&(t, qc)| {
-                    self.oracle.tg.pruned_nfa(t).into_iter().flat_map(move |n| {
-                        n.edges(qc)
-                            .iter()
-                            .filter(move |(a, _)| a.label == label)
-                            .map(|(a, _)| a.target)
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
+            let mut child_types: Vec<TypeIdx> = Vec::new();
+            for &(t, qc) in &confs {
+                if let Some(n) = self.oracle.tg.pruned_nfa(t) {
+                    for (a, _) in n.edges(qc) {
+                        if a.label == label {
+                            child_types.push(a.target);
+                        }
+                    }
+                }
+            }
+            child_types.sort_unstable();
+            child_types.dedup();
 
             // Advance live segments over this edge.
-            let mut next_live: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut next_live: Vec<Live> = Vec::new();
             let mut useful_below = false;
-            let seg_iter: Vec<(usize, Vec<usize>)> = match live {
-                None => (0..self.rq.len())
-                    .map(|i| (i, vec![self.rq.nfas[i].start()]))
-                    .collect(),
-                Some(l) => l.to_vec(),
-            };
-            for (i, states) in &seg_iter {
+            for (i, states) in segs {
                 let nfa = &self.rq.nfas[*i];
                 let next = nfa.step(states, &label);
                 if next.is_empty() {
                     continue;
                 }
                 // Record acceptance at the child (value checks read free).
-                if next.iter().any(|&qs| nfa.is_accepting(qs))
-                    && self.leaf_value_ok(*i, self.cg.target(e))
-                {
-                    self.cands[*i]
-                        .entry(if live.is_none() { pos } else { root_pos_base })
-                        .or_default()
-                        .insert(self.cg.target(e));
+                if next.iter().any(|&qs| nfa.is_accepting(qs)) {
+                    self.cands[*i].entry(rp).or_default().insert(child);
                 }
                 // Downward usefulness: some consistent child type allows
                 // strict progress.
-                let strict = &self.oracle.good_strict[*i];
                 if next
                     .iter()
-                    .any(|&qs| child_types.iter().any(|&ct| strict.contains(&(ct, qs))))
+                    .any(|&qs| child_types.iter().any(|&ct| self.oracle.strict(*i, ct, qs)))
                 {
                     useful_below = true;
                     next_live.push((*i, next));
@@ -242,29 +309,26 @@ impl<'a, 'b> Walker<'a, 'b> {
 
             // Narrow child types by the node's actual kind (a free read,
             // like value reads: only edge traversals are charged).
-            let child = self.cg.target(e);
             let child_is_atomic = matches!(self.cg.graph().node(child), Node::Atomic(_));
-            let kinded: BTreeSet<TypeIdx> = child_types
-                .iter()
-                .copied()
+            let kinded: Vec<TypeIdx> = child_types
+                .into_iter()
                 .filter(|&t| matches!(self.oracle.s.def(t), TypeDef::Atomic(_)) == child_is_atomic)
                 .collect();
 
             // Descend only when useful (downward pruning).
-            let refined: BTreeSet<TypeIdx> = if useful_below && !child_is_atomic {
+            let refined: Vec<TypeIdx> = if useful_below && !child_is_atomic {
                 let child_confs: Vec<Conf> = kinded
                     .iter()
                     .flat_map(|&t| start_confs(self.oracle.s, self.oracle.tg, t))
                     .collect();
-                let rp = if live.is_none() { pos } else { root_pos_base };
                 let types = self.scan_node(child, child_confs, Some(&next_live), rp);
                 if types.is_empty() {
-                    kinded.clone()
+                    kinded
                 } else {
                     types
                 }
             } else {
-                kinded.clone()
+                kinded
             };
 
             // Advance configurations with the refined child types
@@ -273,7 +337,7 @@ impl<'a, 'b> Walker<'a, 'b> {
             for &(t, qc) in &confs {
                 if let Some(n) = self.oracle.tg.pruned_nfa(t) {
                     for (a, q2) in n.edges(qc) {
-                        if a.label == label && refined.contains(&a.target) {
+                        if a.label == label && refined.binary_search(&a.target).is_ok() {
                             let c = (t, *q2);
                             if !next_confs.contains(&c) {
                                 next_confs.push(c);
@@ -288,66 +352,31 @@ impl<'a, 'b> Walker<'a, 'b> {
                 break; // inconsistent (data outside schema); stop
             }
         }
-        self.closing_types(&confs, node)
+        closing_types(&confs)
     }
 
-    /// Sideward pruning test: may a useful edge still occur?
-    fn should_scan_more(&self, confs: &[Conf], live: Option<&[(usize, Vec<usize>)]>) -> bool {
-        // Which segments could still use an edge here?
-        let seg_states: Vec<(usize, Vec<usize>)> = match live {
-            None => (0..self.rq.len())
-                .map(|i| (i, vec![self.rq.nfas[i].start()]))
-                .collect(),
-            Some(l) => l.to_vec(),
-        };
-        for &(t, qc) in confs {
-            let Some(n) = self.oracle.tg.pruned_nfa(t) else {
-                continue;
-            };
-            // Any reachable future symbol…
-            let mut seen = vec![false; n.num_states()];
-            let mut stack = vec![qc];
-            seen[qc] = true;
-            while let Some(qs) = stack.pop() {
-                for (a, q2) in n.edges(qs) {
-                    // …that advances some segment usefully?
-                    for (i, states) in &seg_states {
-                        let nfa = &self.rq.nfas[*i];
-                        let next = nfa.step(states, &a.label);
-                        if next.is_empty() {
-                            continue;
-                        }
-                        let good = &self.oracle.good[*i];
-                        if next
-                            .iter()
-                            .any(|&q2s| nfa.is_accepting(q2s) || good.contains(&(a.target, q2s)))
-                        {
-                            return true;
-                        }
-                    }
-                    if !seen[*q2] {
-                        seen[*q2] = true;
-                        stack.push(*q2);
-                    }
-                }
-            }
-        }
-        false
+    /// Sideward pruning test: may a useful edge still occur? A lookup in
+    /// the oracle's sideward table per configuration and live path state.
+    fn should_scan_more(&self, confs: &[Conf], segs: &[Live]) -> bool {
+        let o = self.oracle;
+        confs.iter().any(|&(t, qc)| {
+            segs.iter().any(|(i, states)| {
+                let ns = o.path_states[*i];
+                let row = &o.useful[*i][t.index()][qc * ns..(qc + 1) * ns];
+                states.iter().any(|&q| row[q])
+            })
+        })
     }
+}
 
-    /// Closing a node: which of its possible types are consistent with
-    /// the observations (content state accepting or completable without
-    /// further scanning — unscanned tails remain possible).
-    fn closing_types(&self, confs: &[Conf], _node: OidId) -> BTreeSet<TypeIdx> {
-        confs.iter().map(|&(t, _)| t).collect()
-    }
-
-    /// Free value check for a candidate endpoint.
-    fn leaf_value_ok(&self, seg: usize, node: OidId) -> bool {
-        let _ = seg;
-        let _ = node;
-        true
-    }
+/// Closing a node: the types of its remaining configurations, sorted
+/// (content state accepting or completable without further scanning —
+/// unscanned tails remain possible).
+fn closing_types(confs: &[Conf]) -> Vec<TypeIdx> {
+    let mut types: Vec<TypeIdx> = confs.iter().map(|&(t, _)| t).collect();
+    types.sort_unstable();
+    types.dedup();
+    types
 }
 
 #[cfg(test)]

@@ -147,58 +147,81 @@ fn conforms_with(g: &DataGraph, s: &Schema, compiled: bool) -> Option<Vec<TypeId
         return None;
     }
 
-    // Backtracking in oid order; check a node's constraint as soon as it and
-    // all its successors are assigned.
+    backtrack(g, s, &cand, compiled)
+}
+
+/// Backtracking in oid order: a node's constraint is checked as soon as it
+/// and all its successors are assigned. `ready` buckets the nodes by the
+/// oid at which their constraint closes, in increasing oid order, so each
+/// assignment checks only the constraints it closes. The search keeps its
+/// own stack of candidate positions, so its depth is not bounded by the
+/// thread's stack.
+fn backtrack(
+    g: &DataGraph,
+    s: &Schema,
+    cand: &[Vec<TypeIdx>],
+    compiled: bool,
+) -> Option<Vec<TypeIdx>> {
     let n = g.len();
-    let mut ready_at = vec![0usize; n];
-    for o in g.oids() {
-        let mut last = o.index();
-        for e in g.edges(o) {
-            last = last.max(e.target.index());
-        }
-        ready_at[o.index()] = last;
+    let ready_at: Vec<usize> = g
+        .oids()
+        .map(|o| {
+            g.edges(o)
+                .iter()
+                .fold(o.index(), |last, e| last.max(e.target.index()))
+        })
+        .collect();
+    // `ready[start[i]..start[i + 1]]` lists the nodes closing at `i`.
+    let mut start = vec![0usize; n + 1];
+    for &i in &ready_at {
+        start[i + 1] += 1;
     }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut ready = vec![0usize; n];
+    for (j, &i) in ready_at.iter().enumerate() {
+        ready[fill[i]] = j;
+        fill[i] += 1;
+    }
+
     let mut assignment = vec![TypeIdx(0); n];
-
-    #[allow(clippy::too_many_arguments)]
-    fn backtrack(
-        g: &DataGraph,
-        s: &Schema,
-        cand: &[Vec<TypeIdx>],
-        ready_at: &[usize],
-        assignment: &mut Vec<TypeIdx>,
-        i: usize,
-        compiled: bool,
-    ) -> bool {
-        if i == g.len() {
-            return true;
-        }
-        let o = OidId::from_usize(i);
-        'cands: for &t in &cand[i] {
+    // `next[i]`: the position in `cand[i]` to try next at depth `i`.
+    let mut next = vec![0usize; n];
+    let mut i = 0;
+    while i < n {
+        let closing = &ready[start[i]..start[i + 1]];
+        let mut placed = false;
+        while let Some(&t) = cand[i].get(next[i]) {
+            next[i] += 1;
             assignment[i] = t;
-            for j in 0..=i {
-                if ready_at[j] == i
-                    && !node_ok(
-                        g,
-                        s,
-                        OidId::from_usize(j),
-                        assignment[j],
-                        assignment,
-                        compiled,
-                    )
-                {
-                    continue 'cands;
-                }
-            }
-            let _ = o;
-            if backtrack(g, s, cand, ready_at, assignment, i + 1, compiled) {
-                return true;
+            if closing.iter().all(|&j| {
+                node_ok(
+                    g,
+                    s,
+                    OidId::from_usize(j),
+                    assignment[j],
+                    &assignment,
+                    compiled,
+                )
+            }) {
+                placed = true;
+                break;
             }
         }
-        false
+        if placed {
+            i += 1;
+            if i < n {
+                next[i] = 0;
+            }
+        } else if i == 0 {
+            return None;
+        } else {
+            i -= 1;
+        }
     }
-
-    backtrack(g, s, &cand, &ready_at, &mut assignment, 0, compiled).then_some(assignment)
+    Some(assignment)
 }
 
 /// Kind, referenceability, and atomic-value compatibility.
