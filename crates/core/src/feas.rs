@@ -16,6 +16,11 @@
 //!   from `T'` into a type of `Feas(Xᵢ)` (computed by a backward product
 //!   reachability — the lazily-evaluated `Tr(P) ∩ Tr(S)`).
 //!
+//! Cost: the reachability depends only on the entry and `Feas(Xᵢ)`, so an
+//! analysis runs it once per `(definition, entry)`, into a dense table
+//! indexed `t·|Q| + q`, over a reversed `Step` adjacency built once per
+//! analysis. Each candidate type's first-edge test is then a table read.
+//!
 //! Exactness: for ordered schemas (plus homogeneous unordered collections)
 //! and join-free queries this decides satisfiability exactly — pattern
 //! paths are independent after their jointly-realizable first edges, since
@@ -25,6 +30,7 @@
 //! only as a pruning aid; the complete search lives in [`crate::solver`].
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use ssd_automata::bag::homogeneous_symbol;
 use ssd_automata::ops::{contains_ordered_selection, contains_unordered_selection};
@@ -32,7 +38,7 @@ use ssd_automata::syntax::Atom as _;
 use ssd_automata::{AutomataCache, LabelAtom, Nfa};
 use ssd_base::{Error, LabelId, Result, TypeIdx, VarId};
 use ssd_obs::{names, Recorder};
-use ssd_query::{EdgeExpr, PatDef, Query, VarKind};
+use ssd_query::{EdgeExpr, PatDef, PatEdge, Query, VarKind};
 use ssd_schema::{AtomicType, Schema, SchemaAtom, TypeDef, TypeGraph};
 
 /// Pinned assignments for type checking / inference: node and value
@@ -131,6 +137,17 @@ pub fn analyze_tree_obs(
     cache: &AutomataCache,
     rec: &dyn Recorder,
 ) -> FeasAnalysis {
+    let rev_step = Csr::new(
+        s.len(),
+        s.types()
+            .filter(|&t1| tg.is_inhabited(t1))
+            .flat_map(|t1| {
+                tg.step(t1)
+                    .iter()
+                    .map(move |a| (a.target.index(), (t1, a.label)))
+            })
+            .collect(),
+    );
     let mut engine = Engine {
         q,
         s,
@@ -138,11 +155,11 @@ pub fn analyze_tree_obs(
         c,
         cache,
         rec,
+        rev_step: &rev_step,
         feas: vec![None; q.num_vars()],
     };
     let root = q.root_var();
-    let feas_root = engine.feas_of(root);
-    let satisfiable = feas_root.contains(&s.root());
+    let satisfiable = engine.feas_of(root).contains(&s.root());
     // Force computation for every variable (reachable from root — connected).
     for v in q.vars() {
         if matches!(q.kind(v), VarKind::Node { .. } | VarKind::Value) {
@@ -165,16 +182,90 @@ struct Engine<'a> {
     cache: &'a AutomataCache,
     rec: &'a dyn Recorder,
     feas: Vec<Option<BTreeSet<TypeIdx>>>,
+    /// `Step` reversed: the `(source, label)` pairs of the symbols
+    /// `label→t` of every inhabited source's `Step`, keyed by `t`.
+    rev_step: &'a Csr<(TypeIdx, LabelId)>,
+}
+
+/// One entry's first-edge table, filled once per `(definition, entry)`
+/// and read by every candidate type of the definition.
+enum EntryTable {
+    /// A label-variable entry: its pinned label, if any, and
+    /// `target_ok[t]` iff `t ∈ Feas(target)`.
+    Label {
+        pinned: Option<LabelId>,
+        target_ok: Vec<bool>,
+    },
+    /// A regex entry: the path NFA and its backward product table,
+    /// `good[t * |Q| + q]` iff from type `t` in NFA state `q` the rest of
+    /// the path can run through the type graph into an accepting state at
+    /// a type of `Feas(target)`.
+    Regex {
+        nfa: Arc<Nfa<LabelAtom>>,
+        good: Vec<bool>,
+    },
+}
+
+impl EntryTable {
+    /// The first-edge symbols `a→T'` of `Step(t)` that this entry can
+    /// take: `T'` admits the target (label variable), or some start edge of
+    /// the path NFA reads `a` into a good state at `T'` (regex).
+    fn first_edges(&self, step: &[SchemaAtom]) -> HashSet<SchemaAtom> {
+        match self {
+            EntryTable::Label { pinned, target_ok } => step
+                .iter()
+                .filter(|a| pinned.is_none_or(|l| a.label == l) && target_ok[a.target.index()])
+                .copied()
+                .collect(),
+            EntryTable::Regex { nfa, good } => {
+                let nq = nfa.num_states();
+                let starts = nfa.edges(nfa.start());
+                step.iter()
+                    .filter(|a| {
+                        starts
+                            .iter()
+                            .any(|(l, q)| l.matches(&a.label) && good[a.target.index() * nq + q])
+                    })
+                    .copied()
+                    .collect()
+            }
+        }
+    }
+}
+
+/// Compressed adjacency lists: the items keyed `k` are
+/// `items[start[k]..start[k + 1]]`, in insertion order.
+struct Csr<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    fn new(keys: usize, mut pairs: Vec<(usize, T)>) -> Csr<T> {
+        pairs.sort_by_key(|p| p.0);
+        let mut start = vec![0; keys + 1];
+        for &(k, _) in &pairs {
+            start[k + 1] += 1;
+        }
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let items = pairs.into_iter().map(|p| p.1).collect();
+        Csr { start, items }
+    }
+
+    fn get(&self, k: usize) -> &[T] {
+        &self.items[self.start[k]..self.start[k + 1]]
+    }
 }
 
 impl<'a> Engine<'a> {
-    fn feas_of(&mut self, v: VarId) -> BTreeSet<TypeIdx> {
-        if let Some(f) = &self.feas[v.index()] {
-            return f.clone();
-        }
-        let computed = self.compute_feas(v);
-        self.feas[v.index()] = Some(computed.clone());
-        computed
+    fn feas_of(&mut self, v: VarId) -> &BTreeSet<TypeIdx> {
+        let set = match self.feas[v.index()].take() {
+            Some(set) => set,
+            None => self.compute_feas(v),
+        };
+        self.feas[v.index()].insert(set)
     }
 
     fn compute_feas(&mut self, v: VarId) -> BTreeSet<TypeIdx> {
@@ -184,6 +275,12 @@ impl<'a> Engine<'a> {
             VarKind::Label => return BTreeSet::new(),
         };
         let pinned = self.c.var_types.get(&v).copied();
+        let entries = match self.q.def(v) {
+            Some(PatDef::Ordered(es) | PatDef::Unordered(es)) => es.len(),
+            _ => 0,
+        };
+        let mut tables: Vec<Option<EntryTable>> =
+            std::iter::repeat_with(|| None).take(entries).collect();
         let mut out = BTreeSet::new();
         for t in self.s.types() {
             if !self.tg.is_inhabited(t) {
@@ -197,14 +294,14 @@ impl<'a> Engine<'a> {
                     continue;
                 }
             }
-            if self.type_feasible(v, t) {
+            if self.type_feasible(v, t, &mut tables) {
                 out.insert(t);
             }
         }
         out
     }
 
-    fn type_feasible(&mut self, v: VarId, t: TypeIdx) -> bool {
+    fn type_feasible(&mut self, v: VarId, t: TypeIdx, tables: &mut [Option<EntryTable>]) -> bool {
         self.rec.add(names::counter::FEAS_TYPES_CHECKED, 1);
         match self.q.kind(v) {
             VarKind::Value => {
@@ -233,7 +330,7 @@ impl<'a> Engine<'a> {
             }
             (PatDef::Value(_) | PatDef::ValueVar(_), _) => false,
             (PatDef::Ordered(entries), TypeDef::Ordered(_)) => {
-                let sets = match self.first_ok_sets(entries, t) {
+                let sets = match self.first_ok_sets(entries, t, tables) {
                     Some(s) => s,
                     None => return false,
                 };
@@ -243,7 +340,7 @@ impl<'a> Engine<'a> {
                 contains_ordered_selection(nfa, &sets)
             }
             (PatDef::Unordered(entries), TypeDef::Unordered(r)) => {
-                let sets = match self.first_ok_sets(entries, t) {
+                let sets = match self.first_ok_sets(entries, t, tables) {
                     Some(s) => s,
                     None => return false,
                 };
@@ -264,31 +361,20 @@ impl<'a> Engine<'a> {
 
     /// The first-edge-feasible symbol set per entry, or `None` if an entry
     /// has none (short-circuit: the definition is then unsatisfiable at
-    /// `t`).
+    /// `t`). An entry's table is filled the first time a type reaches it.
     fn first_ok_sets(
         &mut self,
-        entries: &[ssd_query::PatEdge],
+        entries: &[PatEdge],
         t: TypeIdx,
+        tables: &mut [Option<EntryTable>],
     ) -> Option<Vec<HashSet<SchemaAtom>>> {
         let mut sets = Vec::with_capacity(entries.len());
-        for e in entries {
-            let target_feas = self.feas_of(e.target);
-            let set = match &e.expr {
-                EdgeExpr::LabelVar(lv) => {
-                    let pinned = self.c.label_vars.get(lv).copied();
-                    self.tg
-                        .step(t)
-                        .iter()
-                        .filter(|a| pinned.is_none_or(|l| a.label == l))
-                        .filter(|a| target_feas.contains(&a.target))
-                        .copied()
-                        .collect::<HashSet<_>>()
-                }
-                EdgeExpr::Regex(r) => {
-                    let nfa = self.cache.nfa(r);
-                    self.first_ok_regex(&nfa, t, &target_feas)
-                }
+        for (e, table) in entries.iter().zip(tables.iter_mut()) {
+            let table = match table {
+                Some(table) => table,
+                None => table.insert(self.entry_table(e)),
             };
+            let set = table.first_edges(self.tg.step(t));
             if set.is_empty() {
                 return None;
             }
@@ -297,73 +383,65 @@ impl<'a> Engine<'a> {
         Some(sets)
     }
 
-    /// First-edge symbols `a→T'` of `Step(t)` from which the rest of the
-    /// path language can run through the type graph into `targets`.
-    fn first_ok_regex(
-        &self,
-        nfa: &Nfa<LabelAtom>,
-        t: TypeIdx,
-        targets: &BTreeSet<TypeIdx>,
-    ) -> HashSet<SchemaAtom> {
-        // Good product states (type, nfa-state): acceptance reachable.
-        let good = self.good_states(nfa, targets);
-        let mut out = HashSet::new();
-        for &atom in self.tg.step(t) {
-            // First symbol: advance the path NFA on the label.
-            let nexts = nfa.step(&[nfa.start()], &atom.label);
-            if nexts.iter().any(|&q| good.contains(&(atom.target, q))) {
-                out.insert(atom);
+    /// Builds one entry's table; a regex entry runs the backward product
+    /// pass.
+    fn entry_table(&mut self, e: &PatEdge) -> EntryTable {
+        let (s, c, cache, rec, rev_step) = (self.s, self.c, self.cache, self.rec, self.rev_step);
+        let targets = self.feas_of(e.target);
+        match &e.expr {
+            EdgeExpr::LabelVar(lv) => {
+                let mut target_ok = vec![false; s.len()];
+                for t in targets {
+                    target_ok[t.index()] = true;
+                }
+                EntryTable::Label {
+                    pinned: c.label_vars.get(lv).copied(),
+                    target_ok,
+                }
+            }
+            EdgeExpr::Regex(r) => {
+                let nfa = cache.nfa(r);
+                rec.add(names::counter::FEAS_PRODUCT_PASSES, 1);
+                let good = good_states(rev_step, s.len(), &nfa, targets);
+                EntryTable::Regex { nfa, good }
             }
         }
-        out
     }
+}
 
-    /// Backward product reachability: the set of `(type, state)` pairs from
-    /// which some accepting state can be reached at a type in `targets`
-    /// (in zero or more steps through the type graph).
-    fn good_states(
-        &self,
-        nfa: &Nfa<LabelAtom>,
-        targets: &BTreeSet<TypeIdx>,
-    ) -> HashSet<(TypeIdx, usize)> {
-        // Forward edges: (T1,q) -> (T2,q2) if (b,T2) ∈ Step(T1) and
-        // q --atom--> q2 with atom matching b. We need backward closure, so
-        // build the reversed adjacency on the fly.
-        let mut rev: HashMap<(TypeIdx, usize), Vec<(TypeIdx, usize)>> = HashMap::new();
-        for t1 in self.s.types() {
-            if !self.tg.is_inhabited(t1) {
-                continue;
-            }
-            for &atom in self.tg.step(t1) {
-                for q in 0..nfa.num_states() {
-                    for (a, q2) in nfa.edges(q) {
-                        if a.matches(&atom.label) {
-                            rev.entry((atom.target, *q2)).or_default().push((t1, q));
-                        }
-                    }
-                }
-            }
+/// Backward product reachability over `Tr(P) ∩ Tr(S)`: the dense table of
+/// `(type, state)` pairs, indexed `t * |Q| + q`, from which some accepting
+/// state can be reached at a type in `targets` (in zero or more steps
+/// through the type graph). A product edge `(t1, q) → (t2, q2)` exists iff
+/// `label→t2 ∈ Step(t1)` and `q --a--> q2` with `a` matching `label`.
+fn good_states(
+    rev_step: &Csr<(TypeIdx, LabelId)>,
+    num_types: usize,
+    nfa: &Nfa<LabelAtom>,
+    targets: &BTreeSet<TypeIdx>,
+) -> Vec<bool> {
+    let nq = nfa.num_states();
+    let rev_nfa = Csr::new(nq, nfa.all_edges().map(|(q, a, q2)| (q2, (q, a))).collect());
+    let mut good = vec![false; num_types * nq];
+    let mut stack: Vec<(TypeIdx, usize)> = Vec::new();
+    for &t in targets {
+        for q in (0..nq).filter(|&q| nfa.is_accepting(q)) {
+            good[t.index() * nq + q] = true;
+            stack.push((t, q));
         }
-        let mut good: HashSet<(TypeIdx, usize)> = HashSet::new();
-        let mut stack: Vec<(TypeIdx, usize)> = Vec::new();
-        for &tt in targets {
-            for q in 0..nfa.num_states() {
-                if nfa.is_accepting(q) && good.insert((tt, q)) {
-                    stack.push((tt, q));
-                }
-            }
-        }
-        while let Some(node) = stack.pop() {
-            if let Some(preds) = rev.get(&node) {
-                for &p in preds {
-                    if good.insert(p) {
-                        stack.push(p);
-                    }
-                }
-            }
-        }
-        good
     }
+    while let Some((t2, q2)) = stack.pop() {
+        for &(t1, label) in rev_step.get(t2.index()) {
+            for &(q, a) in rev_nfa.get(q2) {
+                let i = t1.index() * nq + q;
+                if !good[i] && a.matches(&label) {
+                    good[i] = true;
+                    stack.push((t1, q));
+                }
+            }
+        }
+    }
+    good
 }
 
 /// The atomic type of a schema type, if atomic (helper shared by callers).

@@ -86,7 +86,21 @@ impl fmt::Display for Value {
                     write!(f, "{x}")
                 }
             }
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Str(s) => {
+                // The data-graph and query parsers read `\x` as `x`, so
+                // only `\` and `"` are escaped; every other character
+                // (newline, NUL, combining marks) is printed as is.
+                f.write_str("\"")?;
+                let mut rest = s.as_str();
+                while let Some(i) = rest.find(['\\', '"']) {
+                    f.write_str(&rest[..i])?;
+                    f.write_str("\\")?;
+                    f.write_str(&rest[i..=i])?;
+                    rest = &rest[i + 1..];
+                }
+                f.write_str(rest)?;
+                f.write_str("\"")
+            }
             Value::Bool(b) => write!(f, "{b}"),
         }
     }

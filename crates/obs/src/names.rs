@@ -117,6 +117,10 @@ pub mod counter {
     pub const SHARD_CONTENDED: &str = "shard_lock_contended";
     /// `(variable, type)` feasibility checks performed by the feas engine.
     pub const FEAS_TYPES_CHECKED: &str = "feas_types_checked";
+    /// Backward trace-product passes run by the feas engine: one per
+    /// `(definition, regex entry)` per analysis, shared by every candidate
+    /// type of the definition.
+    pub const FEAS_PRODUCT_PASSES: &str = "feas_product_passes";
     /// Requirement-routing nodes expanded by the general solver.
     pub const SOLVER_NODES: &str = "solver_nodes_expanded";
     /// Pin prefixes tested during inference enumeration.

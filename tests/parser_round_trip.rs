@@ -3,7 +3,9 @@
 //! every edge's label and target, for sampled instances of each schema
 //! generator and for the bibliography corpus. Hand-written cases cover the
 //! lexer's corners: Unicode whitespace, the `→` arrow, escaped strings,
-//! `-` inside identifiers next to `->`, and `&` re-declaration.
+//! `-` inside identifiers next to `->`, and `&` re-declaration. String
+//! literals with control and combining characters round-trip through both
+//! the data-graph and the query printer.
 
 use ssd::base::rng::StdRng;
 use ssd::base::SharedInterner;
@@ -11,6 +13,7 @@ use ssd::gen::corpora::{bibliography, PAPER_DTD};
 use ssd::gen::data_gen::{sample_instance, DataGenConfig};
 use ssd::gen::schema_gen::{ordered_schema, unordered_schema, SchemaGenConfig};
 use ssd::model::{parse_data_graph, DataGraph, NodeKind, Value};
+use ssd::query::{parse_query, PatDef};
 use ssd::schema::{parse_dtd, parse_schema, Schema, TypeGraph};
 
 /// Asserts that `h` is `g` up to oid numbering, matching objects by name.
@@ -142,6 +145,74 @@ fn escaped_strings() {
         err.to_string().contains("unterminated string literal"),
         "{err}"
     );
+}
+
+/// Strings whose characters a `{:?}`-style printer would escape in ways
+/// the parsers do not read back (`\n`, `\t`, `\0`, `\u{301}`), plus the
+/// two characters the printer does escape.
+const AWKWARD_STRINGS: [&str; 7] = [
+    "x\ny\\z\u{301}",
+    "tab\there",
+    "nul\0end",
+    "e\u{301}",
+    "back\\slash",
+    "quo\"te",
+    "\n\t\0\\\"",
+];
+
+/// A string literal as the parsers read it: `\` escapes the next
+/// character, every other character stands for itself.
+fn literal(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        if c == '\\' || c == '"' {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn control_and_combining_characters_round_trip_in_data_graphs() {
+    let pool = SharedInterner::new();
+    let mut text = String::from("o = [");
+    let edges: Vec<String> = (0..AWKWARD_STRINGS.len())
+        .map(|i| format!("a{i} -> v{i}"))
+        .collect();
+    text.push_str(&edges.join(", "));
+    text.push(']');
+    for (i, s) in AWKWARD_STRINGS.iter().enumerate() {
+        text.push_str(&format!("; v{i} = {}", literal(s)));
+    }
+    let g = parse_data_graph(&text, &pool).unwrap();
+    for (i, s) in AWKWARD_STRINGS.iter().enumerate() {
+        let v = g
+            .node(g.by_name(&format!("v{i}")).unwrap())
+            .value()
+            .cloned();
+        assert_eq!(v, Some(Value::Str((*s).into())), "{s:?}");
+    }
+    round_trip(&g, &pool);
+}
+
+#[test]
+fn control_and_combining_characters_round_trip_in_queries() {
+    let pool = SharedInterner::new();
+    for s in AWKWARD_STRINGS {
+        let text = format!("SELECT X WHERE Root = [a -> X]; X = {}", literal(s));
+        let q = parse_query(&text, &pool).unwrap();
+        let x = q.var_by_name("X").unwrap();
+        assert_eq!(
+            q.def(x),
+            Some(&PatDef::Value(Value::Str(s.into()))),
+            "{s:?}"
+        );
+        let again = parse_query(&q.to_string(), &pool).expect("printed queries parse");
+        let x2 = again.var_by_name("X").unwrap();
+        assert_eq!(again.def(x2), q.def(x), "{s:?} after the round trip");
+    }
 }
 
 #[test]
